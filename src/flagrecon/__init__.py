@@ -80,7 +80,6 @@ from .manifolds import (
     ManifoldWitness,
     SphereVerdict,
     boundary_of,
-    detect_dimension,
     is_generalized_homology_sphere,
     is_homology_manifold,
     is_pure,

@@ -51,7 +51,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         with_timings=args.timings,
     )
     if args.json:
-        Path(args.json).write_text(report_json(report))
+        try:
+            Path(args.json).write_text(report_json(report))
+        except OSError as exc:
+            raise FormatError(f"cannot write {args.json}: {exc.strerror or exc}") from None
     flag = report["flag_complex"]
     print(
         f"graph: {report['input']['vertex_count']} vertices, "

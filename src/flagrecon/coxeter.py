@@ -17,12 +17,13 @@ equivalents:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from functools import cached_property
+from typing import Iterable, Iterator
 
 from .complexes import SimplicialComplex, Simplex, clique_complex, full_subcomplex, one_skeleton
 from .graphs import Graph, complement, is_connected
 from .homology import AbelianGroup, GradedGroups, reduced_cohomology
-from .manifolds import SphereVerdict, detect_dimension, is_generalized_homology_sphere
+from .manifolds import SphereVerdict, is_generalized_homology_sphere
 
 __all__ = [
     "NerveSystem",
@@ -45,7 +46,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NerveSystem:
-    """A right-angled system presented by its graph and its nerve (the clique complex)."""
+    """A right-angled system presented by its graph and its nerve (the clique complex).
+
+    It is also the one analysis of its graph: each derived fact below is
+    computed on first use and kept on the object, so the report, the
+    certificate and the crosscheck share one evaluation.
+    """
 
     graph: Graph
     nerve: SimplicialComplex
@@ -63,6 +69,19 @@ class NerveSystem:
     @property
     def vertices(self) -> tuple[str, ...]:
         return self.graph.labels
+
+    @cached_property
+    def sphere(self) -> SphereVerdict:
+        """Sphere verdict of the whole nerve; its ``manifold`` is the manifold verdict."""
+        return is_generalized_homology_sphere(self.nerve, self.nerve.dimension)
+
+    @cached_property
+    def virtual_pd(self) -> PDVerdict:
+        return is_virtual_pd(self)
+
+    @cached_property
+    def condition3(self) -> Condition3Result:
+        return condition3_vanishing(self)
 
 
 def is_spherical(ns: NerveSystem, t: Iterable[str]) -> bool:
@@ -139,11 +158,15 @@ def is_virtual_pd(ns: NerveSystem) -> PDVerdict:
     off the maximal spherical factor, the core's complex is a generalized
     homology (n-1)-sphere.  No smaller factor can do better: removing fewer
     universal vertices leaves a cone, and a nonempty cone is never a
-    homology sphere.
+    homology sphere.  Without universal vertices the core is the whole
+    nerve, whose sphere verdict the system already keeps.
     """
     t0, t1 = join_decomposition(ns)
-    core = full_subcomplex(ns.nerve, t0)
-    sphere = is_generalized_homology_sphere(core, detect_dimension(core))
+    if t1:
+        core = full_subcomplex(ns.nerve, t0)
+        sphere = is_generalized_homology_sphere(core, core.dimension)
+    else:
+        sphere = ns.sphere
     if sphere.is_sphere:
         dim = sphere.dimension + 1
         return PDVerdict(True, dim, t0, t1, sphere, degenerate=(dim == 0))
@@ -164,6 +187,15 @@ class Condition3Result:
     subsets_checked: int
 
 
+def _complement_cohomologies(ns: NerveSystem) -> Iterator[tuple[Simplex, GradedGroups]]:
+    """Each nonempty spherical T, in (size, storage) order, with the reduced
+    cohomology of the full subcomplex on the remaining vertices."""
+    for t in spherical_subsets(ns):
+        tset = set(t)
+        rest = [v for v in ns.graph.labels if v not in tset]
+        yield t, reduced_cohomology(full_subcomplex(ns.nerve, rest))
+
+
 def condition3_vanishing(ns: NerveSystem) -> Condition3Result:
     """Vanishing of the complement cohomology over every spherical subset.
 
@@ -171,13 +203,8 @@ def condition3_vanishing(ns: NerveSystem) -> Condition3Result:
     vertices must have trivial reduced cohomology in every degree.  The
     first failure, in deterministic (size, storage) order, is the witness.
     """
-    labels = ns.graph.labels
     checked = 0
-    for t in spherical_subsets(ns):
-        checked += 1
-        tset = set(t)
-        rest = [v for v in labels if v not in tset]
-        coh = reduced_cohomology(full_subcomplex(ns.nerve, rest))
+    for checked, (t, coh) in enumerate(_complement_cohomologies(ns), 1):
         bad = coh.nontrivial()
         if bad:
             degree = min(bad)
@@ -215,18 +242,14 @@ def coxeter_cohomology_if_fg(ns: NerveSystem, i: int) -> AbelianGroup | _NotFini
         raise ValueError("cohomological degree must be nonnegative")
     if not is_irreducible(ns):
         raise ValueError("the dictionary applies to irreducible systems only")
-    labels = ns.graph.labels
-    for t in spherical_subsets(ns):
-        tset = set(t)
-        rest = [v for v in labels if v not in tset]
-        if not reduced_cohomology(full_subcomplex(ns.nerve, rest)).group(i - 1).is_trivial:
-            return NOT_FINITELY_GENERATED
+    if any(not coh.group(i - 1).is_trivial for _, coh in _complement_cohomologies(ns)):
+        return NOT_FINITELY_GENERATED
     return reduced_cohomology(ns.nerve).group(i - 1)
 
 
 @dataclass
 class LemmaKeyReport:
-    """Three equivalent conditions evaluated independently.
+    """Three equivalent conditions, each read from its own verdict.
 
     For an irreducible infinite system these must agree; a disagreement is
     an implementation defect, not a mathematical possibility.
@@ -246,16 +269,15 @@ class LemmaKeyReport:
 
 
 def lemma_key_crosscheck(ns: NerveSystem) -> LemmaKeyReport:
-    """Evaluate virtual PD, sphere, and vanishing independently and report.
+    """Evaluate virtual PD, sphere, and vanishing on the system and report.
 
     Requires an irreducible infinite system; outside that hypothesis the
     three statements are not equivalent and the crosscheck is meaningless.
+    Such a system has no universal vertex, so the PD verdict tests the same
+    complex as the sphere statement, and the vanishing is a separate sweep.
     """
     if not is_irreducible(ns):
         raise ValueError("crosscheck requires an irreducible system")
     if is_finite_group(ns):
         raise ValueError("crosscheck requires an infinite group")
-    pd = is_virtual_pd(ns)
-    sphere = is_generalized_homology_sphere(ns.nerve, detect_dimension(ns.nerve))
-    vanishing = condition3_vanishing(ns)
-    return LemmaKeyReport(pd, sphere, vanishing)
+    return LemmaKeyReport(ns.virtual_pd, ns.sphere, ns.condition3)

@@ -16,7 +16,6 @@ from .homology import INTEGERS, AbelianGroup, GradedGroups, local_homology, redu
 
 __all__ = [
     "sphere_homology",
-    "detect_dimension",
     "maximal_simplices",
     "is_pure",
     "ManifoldWitness",
@@ -37,11 +36,6 @@ def sphere_homology(m: int) -> GradedGroups:
     if m < -1:
         raise ValueError("spheres have dimension >= -1")
     return GradedGroups({m: INTEGERS})
-
-
-def detect_dimension(L: SimplicialComplex) -> int:
-    """Largest simplex dimension; -1 for the empty complex."""
-    return L.dimension
 
 
 def maximal_simplices(L: SimplicialComplex) -> list[Simplex]:

@@ -11,14 +11,9 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .complexes import clique_complex
-from .coxeter import NerveSystem, PDVerdict, is_virtual_pd
+from .coxeter import NerveSystem, PDVerdict
 from .graphs import Graph, canonical_form, graph_from_canonical_form, vertex_deleted
-from .manifolds import (
-    ManifoldVerdict,
-    boundary_of,
-    detect_dimension,
-    is_homology_manifold,
-)
+from .manifolds import ManifoldVerdict, boundary_of
 
 __all__ = [
     "Deck",
@@ -123,12 +118,16 @@ def certify_reconstructible(g: Graph, max_dim: int | None = None) -> Certificate
     """
     if g.vertex_count < 3:
         raise ValueError("certificates require at least 3 vertices")
-    nerve = clique_complex(g, max_dim)
-    n = detect_dimension(nerve)
-    manifold = is_homology_manifold(nerve, n) if n >= 1 else None
+    return _certify(NerveSystem.from_graph(g, max_dim))
+
+
+def _certify(ns: NerveSystem) -> Certificate:
+    """The certificate read from the system's facts, for 3 or more vertices."""
+    n = ns.nerve.dimension
+    manifold = ns.sphere.manifold if n >= 1 else None
     if manifold is not None and manifold.is_manifold:
         return Certificate(VERDICT_THEOREM_2, n, manifold, None)
-    pd = is_virtual_pd(NerveSystem(g, nerve))
+    pd = ns.virtual_pd
     if pd.is_vpd and pd.dimension is not None and pd.dimension >= 1:
         return Certificate(VERDICT_THEOREM_1, pd.dimension, manifold, pd)
     return Certificate(VERDICT_NONE, None, manifold, pd, NO_CERTIFICATE_CAVEAT)

@@ -13,35 +13,21 @@ import json
 import time
 from typing import Any
 
-from .complexes import SimplicialComplex, clique_complex, euler_characteristic, f_vector
+from .complexes import euler_characteristic, f_vector
 from .coxeter import (
     Condition3Result,
     LemmaKeyReport,
     NerveSystem,
     PDVerdict,
-    condition3_vanishing,
     is_finite_group,
     is_irreducible,
-    is_virtual_pd,
-    join_decomposition,
     lemma_key_crosscheck,
 )
 from .formats import emit_graph6
 from .graphs import Graph
 from .homology import AbelianGroup, GradedGroups, reduced_homology
-from .manifolds import (
-    ManifoldVerdict,
-    SphereVerdict,
-    detect_dimension,
-    is_generalized_homology_sphere,
-    is_homology_manifold,
-)
-from .reconstruction import (
-    NO_CERTIFICATE_CAVEAT,
-    VERDICT_NONE,
-    Certificate,
-    certify_reconstructible,
-)
+from .manifolds import ManifoldVerdict, SphereVerdict
+from .reconstruction import NO_CERTIFICATE_CAVEAT, VERDICT_NONE, Certificate, _certify
 
 __all__ = ["SCHEMA_VERSION", "analysis_report", "report_json", "report_schema"]
 
@@ -169,7 +155,8 @@ def analysis_report(
 ) -> dict[str, Any]:
     """Run the full pipeline on one graph and collect a schema-v1 report.
 
-    Raises on malformed input (e.g. a clique past ``max_dim``); every
+    Every section reads one :class:`NerveSystem`, so each fact is computed
+    once.  Raises on malformed input (e.g. a clique past ``max_dim``); every
     analysis outcome short of that, including "no certificate", is data in
     the report rather than an error.
     """
@@ -181,28 +168,17 @@ def analysis_report(
         timings[name] = round((time.perf_counter() - start) * 1000.0, 3)
         return result
 
-    nerve = staged("clique_complex", lambda: clique_complex(g, max_dim))
-    dim = detect_dimension(nerve)
+    ns = staged("clique_complex", lambda: NerveSystem.from_graph(g, max_dim))
+    nerve = ns.nerve
     homology = staged("homology", lambda: reduced_homology(nerve))
-
-    def manifold_section():
-        if dim < 0:
-            return None, None
-        mv = is_homology_manifold(nerve, dim)
-        sv = is_generalized_homology_sphere(nerve, dim)
-        return mv, sv
-
-    manifold, sphere = staged("manifold", manifold_section)
+    sphere = staged("manifold", lambda: ns.sphere if nerve.dimension >= 0 else None)
 
     def coxeter_section():
         if g.vertex_count == 0:
             return None
-        ns = NerveSystem(g, nerve)
         finite = is_finite_group(ns)
         irreducible = is_irreducible(ns)
-        t0, t1 = join_decomposition(ns)
-        pd = is_virtual_pd(ns)
-        cond3 = condition3_vanishing(ns)
+        pd = ns.virtual_pd
         if irreducible and not finite:
             lemma, reason = lemma_key_crosscheck(ns), None
         elif not irreducible:
@@ -212,9 +188,12 @@ def analysis_report(
         return {
             "is_finite": finite,
             "is_irreducible": irreducible,
-            "join_decomposition": {"core": sorted(t0), "spherical_factor": sorted(t1)},
+            "join_decomposition": {
+                "core": sorted(pd.core),
+                "spherical_factor": sorted(pd.spherical_factor),
+            },
             "virtual_pd": _pd_payload(pd),
-            "condition3": _condition3_payload(cond3),
+            "condition3": _condition3_payload(ns.condition3),
             "lemma_key": _lemma_key_payload(lemma, reason),
         }
 
@@ -223,7 +202,7 @@ def analysis_report(
     def certificate_section():
         if g.vertex_count < 3:
             return _certificate_payload(None, "graphs below 3 vertices are not certified")
-        return _certificate_payload(certify_reconstructible(g, max_dim), None)
+        return _certificate_payload(_certify(ns), None)
 
     certificate = staged("certificate", certificate_section)
 
@@ -236,12 +215,12 @@ def analysis_report(
             "graph6": emit_graph6(g) if g.vertex_count <= 62 else None,
         },
         "flag_complex": {
-            "dimension": dim,
+            "dimension": nerve.dimension,
             "f_vector": list(f_vector(nerve)),
             "euler_characteristic": euler_characteristic(nerve),
         },
         "homology": _graded_payload(homology, full_range=True),
-        "manifold": _manifold_payload(manifold),
+        "manifold": _manifold_payload(sphere.manifold if sphere else None),
         "sphere": _sphere_payload(sphere),
         "coxeter": coxeter,
         "certificate": certificate,

@@ -55,6 +55,17 @@ class TestAnalyze:
         run(monkeypatch, capsys, ["analyze", "--json", str(dest)], stdin="Dhc")
         assert dest.read_bytes() == first
 
+    def test_json_into_a_missing_directory_exits_two(self, monkeypatch, capsys, tmp_path):
+        dest = tmp_path / "no" / "r.json"
+        code, out, err = run(monkeypatch, capsys, ["analyze", "--json", str(dest)], stdin="Dhc")
+        assert code == 2
+        assert err == f"error: cannot write {dest}: No such file or directory\n"
+
+    def test_json_onto_a_directory_exits_two(self, monkeypatch, capsys, tmp_path):
+        code, out, err = run(monkeypatch, capsys, ["analyze", "--json", str(tmp_path)], stdin="Dhc")
+        assert code == 2
+        assert err == f"error: cannot write {tmp_path}: Is a directory\n"
+
     def test_timings_flag_fills_the_json_section(self, monkeypatch, capsys, tmp_path):
         dest = tmp_path / "r.json"
         run(monkeypatch, capsys, ["analyze", "--timings", "--json", str(dest)], stdin="Dhc")

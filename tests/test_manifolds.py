@@ -40,11 +40,11 @@ def test_sphere_homology_values():
     ],
 )
 def test_detect_dimension(g, dim):
-    assert fr.detect_dimension(fr.clique_complex(g)) == dim
+    assert fr.clique_complex(g).dimension == dim
 
 
 def test_detect_dimension_of_empty_complex():
-    assert fr.detect_dimension(fr.clique_complex(fr.Graph((), ()))) == -1
+    assert fr.clique_complex(fr.Graph((), ())).dimension == -1
 
 
 def test_maximal_simplices_of_octahedron():

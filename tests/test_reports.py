@@ -1,5 +1,6 @@
 """Report assembly: schema conformance, determinism, golden files."""
 
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -117,8 +118,39 @@ def test_serialisation_is_deterministic():
         ("c5.json", fr.cycle(5)),
         ("k222.json", fr.cross_polytope(3)),
         ("torus44.json", fr.torus_grid(4, 4)),
+        ("cone_c5.json", fr.join(fr.cycle(5), fr.Graph(("a",), (0,)))),
+        ("k4.json", fr.complete(4)),
     ],
 )
 def test_golden_reports_are_byte_stable(fname, g):
     expected = (GOLDEN / fname).read_text(encoding="utf-8")
     assert report_json(analysis_report(g, source_format="graph6")) == expected
+
+
+def test_one_report_computes_each_fact_once(monkeypatch):
+    expected = {
+        "clique_complex": 1,
+        "is_homology_manifold": 1,
+        "is_generalized_homology_sphere": 1,
+        "is_virtual_pd": 1,
+        "condition3_vanishing": 1,
+        "link": 150,  # one per face of the 5x5 torus
+    }
+    counts = dict.fromkeys(expected, 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    # every module binds its own copy of an imported name, so each is wrapped
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] != "flagrecon":
+            continue
+        for name in expected:
+            if name in vars(mod):
+                monkeypatch.setattr(mod, name, counting(name, vars(mod)[name]))
+    analysis_report(fr.torus_grid(5, 5), source_format="graph6")
+    assert counts == expected
