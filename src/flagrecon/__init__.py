@@ -65,14 +65,10 @@ from .homology import (
     IntegerMatrix,
     SmithNormalForm,
     boundary_matrix,
-    identity_matrix,
     local_homology,
-    matrix_multiply,
     reduced_cohomology,
-    reduced_cohomology_via_cochains,
     reduced_homology,
     smith_normal_form,
-    transpose,
 )
 from .manifolds import (
     BoundaryPatternError,

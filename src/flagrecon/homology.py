@@ -1,24 +1,25 @@
-"""Exact integer simplicial (co)homology via Smith normal form.
+"""Exact integer simplicial (co)homology by unit elimination and Smith normal form.
 
-All arithmetic uses Python's arbitrary-precision integers; fixed-width
-words would overflow silently on exactly the matrices where torsion shows
-up.  Homology is reduced throughout, with the empty complex treated as the
-(-1)-sphere: its only nontrivial group is H~[-1] = Z.
+Each boundary operator is assembled as sparse rows.  Its +-1 pivots are
+eliminated by exact Schur complement over Z, each one splitting a 1 off the
+Smith normal form; the dense Smith normal form then runs on what is left,
+the residual block, which is where torsion lives.  All arithmetic uses
+Python's arbitrary-precision integers; fixed-width words would overflow
+silently on exactly the matrices where torsion shows up.  Homology is
+reduced throughout, with the empty complex treated as the (-1)-sphere: its
+only nontrivial group is H~[-1] = Z.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .complexes import SimplicialComplex, link
 
 __all__ = [
     "IntegerMatrix",
-    "identity_matrix",
-    "matrix_multiply",
-    "transpose",
     "boundary_matrix",
     "SmithNormalForm",
     "smith_normal_form",
@@ -28,7 +29,6 @@ __all__ = [
     "GradedGroups",
     "reduced_homology",
     "reduced_cohomology",
-    "reduced_cohomology_via_cochains",
     "local_homology",
 ]
 
@@ -60,29 +60,29 @@ class IntegerMatrix:
         return self.entries[ij[0]][ij[1]]
 
 
-def identity_matrix(n: int) -> IntegerMatrix:
-    return IntegerMatrix(n, n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
-
-
-def transpose(m: IntegerMatrix) -> IntegerMatrix:
-    return IntegerMatrix(m.cols, m.rows, tuple(zip(*m.entries)) if m.entries else tuple(() for _ in range(m.cols)))
-
-
-def matrix_multiply(a: IntegerMatrix, b: IntegerMatrix) -> IntegerMatrix:
-    if a.cols != b.rows:
-        raise ValueError("shape mismatch")
-    bt = list(zip(*b.entries)) if b.entries else [()] * b.cols
-    data = tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a.entries
-    )
-    if not data:
-        data = ()
-    return IntegerMatrix(a.rows, b.cols, data)
-
-
 # ---------------------------------------------------------------------------
 # boundary operators
 # ---------------------------------------------------------------------------
+
+
+def _boundary_rows(
+    L: SimplicialComplex, k: int, reduced: bool = False
+) -> tuple[list[dict[int, int]], int]:
+    """The k-th boundary operator as sparse rows ``{column: +-1}``, with its column count.
+
+    Rows follow the (k-1)-faces and columns the k-faces.  This is the one
+    place where face indexing and signs live; :func:`boundary_matrix` is
+    its dense view.
+    """
+    cols = L.faces(k)
+    if k == 0:
+        return ([dict.fromkeys(range(len(cols)), 1)] if reduced else []), len(cols)
+    row_index = {s: i for i, s in enumerate(L.faces(k - 1))}
+    rows: list[dict[int, int]] = [{} for _ in row_index]
+    for j, s in enumerate(cols):
+        for i in range(len(s)):
+            rows[row_index[s[:i] + s[i + 1 :]]][j] = -1 if i % 2 else 1
+    return rows, len(cols)
 
 
 def boundary_matrix(L: SimplicialComplex, k: int, reduced: bool = False) -> IntegerMatrix:
@@ -92,25 +92,55 @@ def boundary_matrix(L: SimplicialComplex, k: int, reduced: bool = False) -> Inte
     into the rank-one chain group on the empty simplex.  Out-of-range k
     yields the appropriately shaped zero-sized matrix.
     """
-    dim = L.dimension
-    cols_basis = L.faces(k)
-    rows_basis = L.faces(k - 1)
-    if k == 0:
-        if reduced:
-            return IntegerMatrix(1, len(cols_basis), (tuple(1 for _ in cols_basis),))
-        return IntegerMatrix(0, len(cols_basis), ())
-    if k < 0 or k > dim + 1:
-        return IntegerMatrix(0, 0, ())
-    row_index = {s: i for i, s in enumerate(rows_basis)}
-    columns = []
-    for s in cols_basis:
-        col = [0] * len(rows_basis)
-        for i in range(len(s)):
-            facet = s[:i] + s[i + 1 :]
-            col[row_index[facet]] = -1 if i % 2 else 1
-        columns.append(col)
-    entries = tuple(tuple(col[r] for col in columns) for r in range(len(rows_basis)))
-    return IntegerMatrix(len(rows_basis), len(cols_basis), entries)
+    rows, cols = _boundary_rows(L, k, reduced)
+    entries = tuple(tuple(row.get(j, 0) for j in range(cols)) for row in rows)
+    return IntegerMatrix(len(rows), cols, entries)
+
+
+def _eliminate_units(rows: list[dict[int, int]], cols: int) -> tuple[int, IntegerMatrix]:
+    """Eliminate +-1 pivots from sparse rows; return their count and the residual.
+
+    Columns are visited in order.  Each pivot is a +-1 entry of its column,
+    taken in the row with the fewest entries to keep fill-in low, and its
+    row is subtracted from every other row holding that column: the exact
+    Schur complement over Z.  A unit pivot splits a 1 off the Smith normal
+    form, so the matrix's form is 1^units plus that of the residual, the
+    nonzero part of the rows left over.  ``rows`` is consumed.
+    """
+    holders: list[set[int]] = [set() for _ in range(cols)]
+    for i, row in enumerate(rows):
+        for j in row:
+            holders[j].add(i)
+    units = 0
+    for c in range(cols):
+        pivot = min(
+            (i for i in holders[c] if rows[i][c] in (1, -1)),
+            key=lambda i: len(rows[i]),
+            default=-1,
+        )
+        if pivot < 0:
+            continue
+        units += 1
+        prow, rows[pivot] = rows[pivot], {}
+        for j in prow:
+            holders[j].discard(pivot)
+        p = prow[c]
+        for i in list(holders[c]):
+            row = rows[i]
+            f = row[c] * p
+            for j, x in prow.items():
+                y = row.get(j, 0) - f * x
+                if y:
+                    if j not in row:
+                        holders[j].add(i)
+                    row[j] = y
+                else:
+                    del row[j]
+                    holders[j].discard(i)
+    left = [row for row in rows if row]
+    keep = sorted({j for row in left for j in row})
+    entries = tuple(tuple(row.get(j, 0) for j in keep) for row in left)
+    return units, IntegerMatrix(len(left), len(keep), entries)
 
 
 # ---------------------------------------------------------------------------
@@ -137,8 +167,8 @@ def smith_normal_form(m: IntegerMatrix, with_transforms: bool = False) -> SmithN
     """Diagonalise ``m`` over Z by unimodular row and column operations.
 
     Pivots are always the smallest nonzero magnitude in the trailing block,
-    which keeps entry growth tame on the small dense matrices boundary
-    operators produce.  Each diagonal entry is forced to divide every entry
+    which keeps entry growth tame on the small dense residual blocks that
+    unit elimination leaves.  Each diagonal entry is forced to divide every entry
     of its trailing block before the next position starts, so the diagonal
     comes out as a divisibility chain.
     """
@@ -330,10 +360,6 @@ class GradedGroups:
         return ", ".join(f"[{d}]={g}" for d, g in nt.items())
 
 
-def _torsion_of(snf: SmithNormalForm) -> tuple[int, ...]:
-    return tuple(d for d in snf.invariant_factors if d > 1)
-
-
 # ---------------------------------------------------------------------------
 # homology and cohomology
 # ---------------------------------------------------------------------------
@@ -345,22 +371,23 @@ def reduced_homology(L: SimplicialComplex) -> GradedGroups:
 
     The augmented chain complex is used throughout, so the empty complex
     reports Z in degree -1 and a nonempty complex reports rank
-    (#components - 1) in degree 0.
+    (#components - 1) in degree 0.  Each boundary operator loses its +-1
+    pivots to sparse elimination first; the Smith normal form of the
+    residual block adds the remaining rank and all of the torsion.
     """
     dim = L.dimension
     if dim == -1:
         return GradedGroups({-1: INTEGERS})
     f = [len(level) for level in L.simplices]
-    snf = [
-        smith_normal_form(boundary_matrix(L, k, reduced=(k == 0)))
-        for k in range(dim + 2)
-    ]
-    groups: dict[int, AbelianGroup] = {
-        -1: AbelianGroup(1 - snf[0].rank, _torsion_of(snf[0]))
-    }
+    ranks, torsion = [], []
+    for k in range(dim + 2):
+        units, residual = _eliminate_units(*_boundary_rows(L, k, reduced=(k == 0)))
+        snf = smith_normal_form(residual)
+        ranks.append(units + snf.rank)
+        torsion.append(tuple(d for d in snf.invariant_factors if d > 1))
+    groups: dict[int, AbelianGroup] = {-1: AbelianGroup(1 - ranks[0], torsion[0])}
     for k in range(dim + 1):
-        rank = f[k] - snf[k].rank - snf[k + 1].rank
-        groups[k] = AbelianGroup(rank, _torsion_of(snf[k + 1]))
+        groups[k] = AbelianGroup(f[k] - ranks[k] - ranks[k + 1], torsion[k + 1])
     return GradedGroups(groups)
 
 
@@ -380,32 +407,6 @@ def reduced_cohomology(L: SimplicialComplex) -> GradedGroups:
             for k in range(-1, dim + 1)
         }
     )
-
-
-def reduced_cohomology_via_cochains(L: SimplicialComplex) -> GradedGroups:
-    """Reduced cohomology recomputed from transposed boundary operators.
-
-    Independent of :func:`reduced_cohomology`; the two routes must agree.
-    The cochain in degree k is dual to the chain in degree k, with the dual
-    augmentation entering at degree -1.
-    """
-    dim = L.dimension
-    if dim == -1:
-        return GradedGroups({-1: INTEGERS})
-    f = {-1: 1}
-    for k, level in enumerate(L.simplices):
-        f[k] = len(level)
-    # delta[k] maps k-cochains to (k+1)-cochains
-    delta = {
-        k: smith_normal_form(transpose(boundary_matrix(L, k + 1, reduced=(k + 1 == 0))))
-        for k in range(-1, dim + 1)
-    }
-    groups: dict[int, AbelianGroup] = {}
-    for k in range(-1, dim + 1):
-        below = delta.get(k - 1)
-        rank = f[k] - delta[k].rank - (below.rank if below else 0)
-        groups[k] = AbelianGroup(rank, _torsion_of(below) if below else ())
-    return GradedGroups(groups)
 
 
 def local_homology(L: SimplicialComplex, simplex: Iterable[str]) -> GradedGroups:

@@ -14,7 +14,11 @@ from itertools import combinations, permutations
 from hypothesis import strategies as st
 
 from flagrecon import (
+    INTEGERS,
+    AbelianGroup,
     Graph,
+    GradedGroups,
+    IntegerMatrix,
     NerveSystem,
     SimplicialComplex,
     cross_polytope,
@@ -23,7 +27,8 @@ from flagrecon import (
     icosahedron,
     join,
     path,
-    reduced_cohomology_via_cochains,
+    boundary_matrix,
+    smith_normal_form,
     torus_grid,
 )
 from flagrecon import complete as complete_graph
@@ -192,6 +197,52 @@ def rational_betti(L: SimplicialComplex) -> dict[int, int]:
     for k in range(dim + 1):
         betti[k] = len(L.simplices[k]) - ranks[k] - ranks[k + 1]
     return {k: b for k, b in betti.items() if b}
+
+
+def identity_matrix(n: int) -> IntegerMatrix:
+    return IntegerMatrix(n, n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+
+
+def transpose(m: IntegerMatrix) -> IntegerMatrix:
+    return IntegerMatrix(m.cols, m.rows, tuple(zip(*m.entries)) if m.entries else tuple(() for _ in range(m.cols)))
+
+
+def matrix_multiply(a: IntegerMatrix, b: IntegerMatrix) -> IntegerMatrix:
+    if a.cols != b.rows:
+        raise ValueError("shape mismatch")
+    bt = list(zip(*b.entries)) if b.entries else [()] * b.cols
+    data = tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a.entries
+    )
+    return IntegerMatrix(a.rows, b.cols, data)
+
+
+def reduced_cohomology_via_cochains(L: SimplicialComplex) -> GradedGroups:
+    """Reduced cohomology recomputed from transposed boundary operators.
+
+    Independent of the library's homology route, which eliminates unit
+    pivots before any Smith normal form: here every coboundary goes through
+    the dense Smith normal form whole.  The cochain in degree k is dual to
+    the chain in degree k, with the dual augmentation entering at degree -1.
+    """
+    dim = L.dimension
+    if dim == -1:
+        return GradedGroups({-1: INTEGERS})
+    f = {-1: 1}
+    for k, level in enumerate(L.simplices):
+        f[k] = len(level)
+    # delta[k] maps k-cochains to (k+1)-cochains
+    delta = {
+        k: smith_normal_form(transpose(boundary_matrix(L, k + 1, reduced=(k + 1 == 0))))
+        for k in range(-1, dim + 1)
+    }
+    groups: dict[int, AbelianGroup] = {}
+    for k in range(-1, dim + 1):
+        below = delta.get(k - 1)
+        rank = f[k] - delta[k].rank - (below.rank if below else 0)
+        torsion = tuple(d for d in below.invariant_factors if d > 1) if below else ()
+        groups[k] = AbelianGroup(rank, torsion)
+    return GradedGroups(groups)
 
 
 def join_split(g: Graph) -> tuple[list[str], list[str]] | None:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import flagrecon as fr
 from flagrecon.reports import analysis_report, report_json
-from oracles import random_graph, small_corpus
+from oracles import matrix_multiply, random_graph, reduced_cohomology_via_cochains, small_corpus
 from test_homology import projective_plane
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -186,17 +186,17 @@ def test_criterion_5_the_homology_engine_validates():
     checks: list[bool] = []
 
     for L in complexes:
-        for k in range(1, L.dimension + 1):
-            lower = fr.boundary_matrix(L, k, reduced=(k == 1))
+        for k in range(L.dimension + 1):
+            lower = fr.boundary_matrix(L, k, reduced=(k == 0))
             upper = fr.boundary_matrix(L, k + 1)
-            product = fr.matrix_multiply(lower, upper)
+            product = matrix_multiply(lower, upper)
             checks.append(all(e == 0 for row in product.entries for e in row))
         ranks = {
             deg: grp.rank for deg, grp in fr.reduced_homology(L).nontrivial().items()
         }
         alternating = sum((-1) ** deg * r for deg, r in ranks.items())
         checks.append(fr.euler_characteristic(L) == 1 + alternating)
-        checks.append(fr.reduced_cohomology(L) == fr.reduced_cohomology_via_cochains(L))
+        checks.append(fr.reduced_cohomology(L) == reduced_cohomology_via_cochains(L))
 
     rp2 = fr.reduced_cohomology(projective_plane()).nontrivial()
     checks.append(rp2 == {2: fr.AbelianGroup(0, (2,))})
@@ -211,7 +211,7 @@ def test_criterion_5_the_homology_engine_validates():
         )
         snf = fr.smith_normal_form(m, with_transforms=True)
         u, v = snf.row_transform, snf.col_transform
-        product = fr.matrix_multiply(fr.matrix_multiply(u, m), v)
+        product = matrix_multiply(matrix_multiply(u, m), v)
         diag = [
             [
                 snf.invariant_factors[i] if i == j and i < len(snf.invariant_factors) else 0

@@ -6,14 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flagrecon as fr
+from flagrecon import homology
 from oracles import (
     determinant,
     graphs,
     hub,
+    identity_matrix,
     is_unimodular,
+    matrix_multiply,
     rational_betti,
     rational_rank,
+    reduced_cohomology_via_cochains,
     small_corpus,
+    transpose,
 )
 
 # minimal closed projective plane: 6 vertices, 15 edges, 10 triangles,
@@ -46,13 +51,13 @@ def test_integer_matrix_shape_validation():
 
 def test_matrix_multiply_against_identity():
     m = fr.IntegerMatrix.from_rows([[1, 2], [3, 4], [5, 6]])
-    assert fr.matrix_multiply(fr.identity_matrix(3), m) == m
-    assert fr.matrix_multiply(m, fr.identity_matrix(2)) == m
+    assert matrix_multiply(identity_matrix(3), m) == m
+    assert matrix_multiply(m, identity_matrix(2)) == m
 
 
 def test_transpose_swaps_shape():
     m = fr.IntegerMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
-    t = fr.transpose(m)
+    t = transpose(m)
     assert (t.rows, t.cols) == (3, 2)
     assert t.entries == ((1, 4), (2, 5), (3, 6))
 
@@ -83,7 +88,7 @@ def test_boundary_squared_is_zero(name, L):
     for k in range(L.dimension + 1):
         upper = fr.boundary_matrix(L, k + 1)
         lower = fr.boundary_matrix(L, k, reduced=(k == 0))
-        prod = fr.matrix_multiply(lower, upper)
+        prod = matrix_multiply(lower, upper)
         assert all(e == 0 for row in prod.entries for e in row)
 
 
@@ -126,7 +131,7 @@ def test_smith_form_transforms_are_unimodular_and_diagonalise(rows):
     u, v = snf.row_transform, snf.col_transform
     assert is_unimodular(list(map(list, u.entries)))
     assert is_unimodular(list(map(list, v.entries)))
-    d = fr.matrix_multiply(fr.matrix_multiply(u, m), v)
+    d = matrix_multiply(matrix_multiply(u, m), v)
     for i in range(d.rows):
         for j in range(d.cols):
             want = snf.invariant_factors[i] if i == j and i < snf.rank else 0
@@ -157,7 +162,7 @@ def test_smith_form_tames_entry_growth():
     snf = fr.smith_normal_form(m, with_transforms=True)
     assert snf.invariant_factors == (1, 1, 1, 1, 1)
     u, v = snf.row_transform, snf.col_transform
-    d = fr.matrix_multiply(fr.matrix_multiply(u, m), v)
+    d = matrix_multiply(matrix_multiply(u, m), v)
     assert all(
         d.entries[i][j] == (1 if i == j and i < 5 else 0)
         for i in range(6)
@@ -165,6 +170,48 @@ def test_smith_form_tames_entry_growth():
     )
     for t in (u, v):
         assert all(abs(e) < 10**9 for row in t.entries for e in row)
+
+
+# ------------------------------------------------------ unit elimination
+
+
+def nonunit_factors(snf):
+    return tuple(d for d in snf.invariant_factors if d > 1)
+
+
+def eliminated(rows, cols):
+    """Rank and non-unit invariant factors by unit elimination, then SNF."""
+    units, residual = homology._eliminate_units(rows, cols)
+    snf = fr.smith_normal_form(residual)
+    return units + snf.rank, nonunit_factors(snf)
+
+
+def dense(m):
+    snf = fr.smith_normal_form(m)
+    return snf.rank, nonunit_factors(snf)
+
+
+@settings(max_examples=120)
+@given(st.one_of(matrices(), matrices(max_entry=2)))
+def test_unit_elimination_matches_dense_smith_form(rows):
+    sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
+    assert eliminated(sparse, len(rows[0])) == dense(fr.IntegerMatrix.from_rows(rows))
+
+
+@pytest.mark.parametrize("name,L", corpus_complexes())
+def test_unit_elimination_matches_dense_smith_form_per_degree(name, L):
+    for k in range(L.dimension + 2):
+        rows, cols = homology._boundary_rows(L, k, reduced=(k == 0))
+        assert eliminated(rows, cols) == dense(fr.boundary_matrix(L, k, reduced=(k == 0)))
+
+
+def test_projective_plane_torsion_survives_to_the_residual():
+    rows, cols = homology._boundary_rows(projective_plane(), 2)
+    units, residual = homology._eliminate_units(rows, cols)
+    assert residual.rows and residual.cols
+    snf = fr.smith_normal_form(residual)
+    assert units + snf.rank == 10
+    assert nonunit_factors(snf) == (2,)
 
 
 # ---------------------------------------------------------- homology groups
@@ -226,7 +273,7 @@ def test_homology_of_random_flag_complexes_matches_oracle_ranks(g):
 
 @pytest.mark.parametrize("name,L", corpus_complexes())
 def test_cohomology_routes_agree(name, L):
-    assert fr.reduced_cohomology(L) == fr.reduced_cohomology_via_cochains(L)
+    assert fr.reduced_cohomology(L) == reduced_cohomology_via_cochains(L)
 
 
 def test_projective_plane_torsion_moves_up_a_degree():
@@ -238,7 +285,7 @@ def test_projective_plane_torsion_moves_up_a_degree():
 @given(graphs(max_n=6))
 def test_cohomology_routes_agree_on_random_flag_complexes(g):
     L = fr.clique_complex(g)
-    assert fr.reduced_cohomology(L) == fr.reduced_cohomology_via_cochains(L)
+    assert fr.reduced_cohomology(L) == reduced_cohomology_via_cochains(L)
 
 
 # ---------------------------------------------------------- local homology
