@@ -56,6 +56,7 @@ from .graphs import (
     path,
     torus_grid,
     vertex_deleted,
+    vertex_orbits,
 )
 from .homology import (
     INTEGERS,

@@ -23,6 +23,7 @@ __all__ = [
     "canonical_form",
     "graph_from_canonical_form",
     "are_isomorphic",
+    "vertex_orbits",
     "cycle",
     "path",
     "complete",
@@ -219,6 +220,14 @@ def is_connected(g: Graph) -> bool:
 # The certificate is the minimum, over all orderings compatible with the search
 # tree, of the packed upper-triangle adjacency bits, so equal certificates hold
 # exactly for isomorphic graphs (the certificate decodes back to a graph).
+#
+# Automorphism pruning (McKay-Piperno, Practical graph isomorphism II, 2014):
+# a leaf whose certificate equals the best one yields the automorphism
+# best_order[i] -> order[i].  Below prefix P, a child is skipped when recorded
+# automorphisms fixing P pointwise map it onto an explored sibling; refinement
+# is invariant under relabelling, so such an automorphism maps the explored
+# subtree onto the skipped one, certificates included, and the minimum stays.
+SEARCH_NODE_BUDGET = 10_000  # search nodes one labelling may visit
 
 
 def _refine(n: int, adj: Sequence[int], colors: list[int]) -> list[int]:
@@ -291,47 +300,90 @@ def _certificate(n: int, adj: Sequence[int], order: Sequence[int]) -> bytes:
     return bytes(out)
 
 
-@lru_cache(maxsize=1 << 16)
-def canonical_form(g: Graph) -> bytes:
-    """Canonical certificate of the isomorphism class of ``g``.
+def _orbit_roots(n: int, perms: Iterable[Sequence[int]]) -> list[int]:
+    """Least point of each point's orbit under the group ``perms`` generate (union-find)."""
+    root = list(range(n))
+    for perm in perms:
+        for x, y in enumerate(perm):
+            while root[x] != x:
+                x = root[x]
+            while root[y] != y:
+                y = root[y]
+            root[max(x, y)] = min(x, y)
+    for x in range(n):  # links point to lesser points, so root[root[x]] is final here
+        root[x] = root[root[x]]
+    return root
 
-    Exact: two graphs receive equal certificates if and only if they are
-    isomorphic.  The certificate embeds the vertex count, so graphs of
-    different orders never collide.
-    """
+
+def _search(g: Graph) -> tuple[bytes, list[list[int]]]:
+    """Least certificate body of ``g``, and the automorphisms recorded on the way."""
     n = g.vertex_count
-    if n == 0:
-        return b"0:"
     adj = g.adj
     best: bytes | None = None
+    best_order: list[int] = []
+    autos: list[list[int]] = []
+    nodes = 0
 
-    def visit(colors: list[int]) -> None:
-        nonlocal best
+    def visit(colors: list[int], prefix: tuple[int, ...]) -> None:
+        nonlocal best, best_order, nodes
+        nodes += 1
+        if nodes > SEARCH_NODE_BUDGET:
+            raise ValueError(f"canonical labelling of a {n}-vertex graph "
+                             f"exceeded {SEARCH_NODE_BUDGET} search nodes")
         colors = _refine(n, adj, colors)
         cells = _cells_of(colors)
         if len(cells) == n or _is_homogeneous(adj, cells):
             order = [v for cell in cells for v in cell]
             cert = _certificate(n, adj, order)
             if best is None or cert < best:
-                best = cert
+                best, best_order = cert, order
+            elif cert == best:
+                autos.append([w for _, w in sorted(zip(best_order, order))])
             return
         target = next(cell for cell in cells if len(cell) > 1)
+        explored, known, root = [], 0, range(n)
         for v in target:
+            if explored and len(autos) != known:
+                known = len(autos)
+                root = _orbit_roots(n, (a for a in autos if all(a[p] == p for p in prefix)))
+            if known and any(root[v] == root[u] for u in explored):
+                continue
+            explored.append(v)
             branched = [c * 2 for c in colors]
             branched[v] -= 1
-            visit(branched)
+            visit(branched, prefix + (v,))
 
-    visit([0] * n)
-    assert best is not None
-    return b"%d:" % n + best
+    if n:
+        visit([0] * n, ())
+    return best or b"", autos
+
+
+@lru_cache(maxsize=1 << 16)
+def canonical_form(g: Graph) -> bytes:
+    """Canonical certificate of the isomorphism class of ``g``.
+
+    Exact: two graphs receive equal certificates if and only if they are
+    isomorphic.  The certificate embeds the vertex count, so graphs of
+    different orders never collide.  Raises ``ValueError`` past ``SEARCH_NODE_BUDGET`` nodes.
+    """
+    return b"%d:" % g.vertex_count + _search(g)[0]
+
+
+def vertex_orbits(g: Graph) -> list[tuple[str, ...]]:
+    """Vertex classes, by first vertex, under the automorphisms the labelling search finds.
+
+    Each class lies in one orbit of Aut(g), so its cards are isomorphic; it may be finer.
+    """
+    roots = _orbit_roots(g.vertex_count, _search(g)[1])
+    return [tuple(v for v, x in zip(g.labels, roots) if x == r) for r in sorted(set(roots))]
 
 
 def graph_from_canonical_form(cert: bytes) -> Graph:
     """Decode a certificate back into its canonically labelled representative."""
     head, sep, packed = cert.partition(b":")
-    if not sep:
+    n = int(head) if head.isdigit() else -1
+    if not sep or n < 0 or len(packed) != (n * (n - 1) // 2 + 7) // 8:
         raise ValueError("malformed certificate")
-    n = int(head)
     adj = [0] * n
     k = 0
     for j in range(1, n):

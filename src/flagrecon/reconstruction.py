@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .complexes import clique_complex
 from .coxeter import NerveSystem, PDVerdict
-from .graphs import Graph, canonical_form, graph_from_canonical_form, vertex_deleted
+from .graphs import Graph, canonical_form, graph_from_canonical_form, vertex_deleted, vertex_orbits
 from .manifolds import ManifoldVerdict, boundary_of
 
 __all__ = [
@@ -51,10 +51,16 @@ class Deck:
 
 
 def deck(g: Graph) -> Deck:
-    """All vertex-deleted cards of ``g`` as a canonical-form multiset."""
+    """All vertex-deleted cards of ``g`` as a canonical-form multiset.
+
+    One card is labelled per class of ``vertex_orbits(g)``: its vertices' cards are isomorphic.
+    """
     if g.vertex_count < 1:
         raise ValueError("decks need at least one vertex")
-    matching = {v: canonical_form(vertex_deleted(g, v)) for v in g.labels}
+    card_of: dict[str, bytes] = {}
+    for orbit in vertex_orbits(g):
+        card_of.update(dict.fromkeys(orbit, canonical_form(vertex_deleted(g, orbit[0]))))
+    matching = {v: card_of[v] for v in g.labels}
     return Deck(dict(Counter(matching.values())), matching)
 
 

@@ -21,8 +21,11 @@ from flagrecon import (
     IntegerMatrix,
     NerveSystem,
     SimplicialComplex,
+    complement,
+    complete_multipartite,
     cross_polytope,
     cycle,
+    disjoint_union,
     full_subcomplex,
     icosahedron,
     join,
@@ -32,6 +35,7 @@ from flagrecon import (
     torus_grid,
 )
 from flagrecon import complete as complete_graph
+from flagrecon.graphs import _cells_of, _certificate, _is_homogeneous, _refine
 
 
 def graph_on(labels: list[str], mask: int) -> Graph:
@@ -61,6 +65,53 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
         if rng.random() < p
     ]
     return Graph.from_edges(labels, edges)
+
+
+def reordered(g: Graph, labels: list[str]) -> Graph:
+    """``g`` with its vertices stored in the order ``labels``.
+
+    Unlike ``Graph.relabel``, this permutes the adjacency indices, which is
+    what the labelling search sees.
+    """
+    return Graph.from_edges(labels, g.edges())
+
+
+def suffixed(g: Graph, tag: str) -> Graph:
+    return g.relabel({v: v + tag for v in g.labels})
+
+
+def symmetric_family() -> list[Graph]:
+    """Graphs with large automorphism groups, where an unpruned search is slowest."""
+    c5 = cycle(5)
+    return (
+        [cycle(n) for n in (5, 6, 9)]
+        + [cross_polytope(k) for k in range(2, 6)]
+        + [torus_grid(p, q) for p in range(4, 7) for q in range(4, 7)]
+        + [icosahedron(), complete_multipartite([1, 2, 3]), complete_multipartite([3, 3, 3])]
+        + [join(c5, suffixed(c5, "'"))]
+    )
+
+
+@st.composite
+def symmetric_graphs(draw):
+    """A symmetric family member, its complement, or a disjoint union of two
+    symmetric graphs, with the vertices stored in a drawn order.
+
+    A union's automorphism group is the product of its parts' groups, and
+    so is the unpruned oracle's cost: unions draw from the members of at
+    most 12 vertices, apart from cross_polytope(5), and from small pieces.
+    """
+    family = symmetric_family()
+    op = draw(st.sampled_from(["plain", "complement", "union"]))
+    if op == "union":
+        parts = [h for h in family if h.vertex_count <= 12 and h != cross_polytope(5)]
+        small = [cycle(3), cycle(4), cycle(6), cross_polytope(2), path(3)]
+        g = disjoint_union(draw(st.sampled_from(parts)), suffixed(draw(st.sampled_from(small)), "+"))
+    else:
+        g = draw(st.sampled_from(family))
+        if op == "complement":
+            g = complement(g)
+    return reordered(g, draw(st.permutations(g.labels)))
 
 
 def hub(label: str = "h") -> Graph:
@@ -103,6 +154,40 @@ def iso_bijection(g1: Graph, g2: Graph) -> dict[str, str] | None:
         ):
             return {g1.labels[i]: g2.labels[perm[i]] for i in range(n)}
     return None
+
+
+def unpruned_canonical_form(g: Graph) -> bytes:
+    """Canonical certificate by the full individualisation-refinement search.
+
+    The search the library ran before automorphism pruning: it visits every
+    branch, so it sees at least |Aut(g)| leaves.  The pruned search must
+    return the same bytes.
+    """
+    n = g.vertex_count
+    if n == 0:
+        return b"0:"
+    adj = g.adj
+    best: bytes | None = None
+
+    def visit(colors: list[int]) -> None:
+        nonlocal best
+        colors = _refine(n, adj, colors)
+        cells = _cells_of(colors)
+        if len(cells) == n or _is_homogeneous(adj, cells):
+            order = [v for cell in cells for v in cell]
+            cert = _certificate(n, adj, order)
+            if best is None or cert < best:
+                best = cert
+            return
+        target = next(cell for cell in cells if len(cell) > 1)
+        for v in target:
+            branched = [c * 2 for c in colors]
+            branched[v] -= 1
+            visit(branched)
+
+    visit([0] * n)
+    assert best is not None
+    return b"%d:" % n + best
 
 
 def rational_rank(rows: list[list[int]]) -> int:

@@ -101,6 +101,13 @@ class TestDeck:
         code, out, err = run(monkeypatch, capsys, ["deck"], stdin="EhEG")
         assert sum(int(line.split()[1]) for line in out.splitlines()) == 6
 
+    def test_search_over_budget_exits_two(self, monkeypatch, capsys):
+        monkeypatch.setattr(fr.graphs, "SEARCH_NODE_BUDGET", 3)
+        fr.canonical_form.cache_clear()
+        code, out, err = run(monkeypatch, capsys, ["deck"], stdin="E]~o")
+        assert code == 2
+        assert err.startswith("error: canonical labelling of a 6-vertex graph")
+
 
 class TestReconstruct:
     def test_round_trips_a_cycle_card(self, monkeypatch, capsys):

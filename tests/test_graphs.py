@@ -8,7 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flagrecon as fr
-from oracles import graph_on, graphs, hub, iso_bijection, small_corpus
+from oracles import (
+    graph_on,
+    graphs,
+    hub,
+    iso_bijection,
+    reordered,
+    small_corpus,
+    suffixed,
+    symmetric_graphs,
+    unpruned_canonical_form,
+)
 
 
 # ---------------------------------------------------------------- container
@@ -271,3 +281,98 @@ def test_canonical_form_shape():
     # vertex count prefix, then packed column-major triangle bits
     cert = fr.canonical_form(fr.complete(3))
     assert cert == b"3:" + bytes([0b111 << 5])
+
+
+@pytest.mark.parametrize(
+    "cert", [b"5:", b"-1:", b"3:\xff\xff", b"x:", b"3"], ids=repr
+)
+def test_malformed_certificates_are_rejected(cert):
+    with pytest.raises(ValueError, match="malformed certificate"):
+        fr.graph_from_canonical_form(cert)
+
+
+# ------------------------------------------------- pruned search vs. oracle
+
+
+@given(graphs())
+def test_canonical_form_matches_unpruned_search(g):
+    assert fr.canonical_form(g) == unpruned_canonical_form(g)
+
+
+@given(graphs(max_n=7), st.randoms(use_true_random=False))
+def test_canonical_form_matches_unpruned_search_in_any_vertex_order(g, rng):
+    order = list(g.labels)
+    rng.shuffle(order)
+    h = reordered(g, order)
+    assert fr.canonical_form(h) == unpruned_canonical_form(h) == fr.canonical_form(g)
+
+
+@settings(max_examples=40)
+@given(symmetric_graphs())
+def test_canonical_form_matches_unpruned_search_on_symmetric_graphs(g):
+    assert fr.canonical_form(g) == unpruned_canonical_form(g)
+
+
+# ------------------------------------------------------------ vertex orbits
+
+
+@given(st.one_of(graphs(), symmetric_graphs()))
+def test_vertices_of_one_orbit_have_isomorphic_cards(g):
+    orbits = fr.vertex_orbits(g)
+    assert sorted(v for orbit in orbits for v in orbit) == sorted(g.labels)
+    for orbit in orbits:
+        cards = {fr.canonical_form(fr.vertex_deleted(g, v)) for v in orbit}
+        assert len(cards) == 1
+
+
+C5 = fr.cycle(5)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [fr.cycle(9), fr.torus_grid(6, 6), fr.cross_polytope(5), fr.icosahedron(),
+     fr.join(C5, suffixed(C5, "'"))],
+    ids=["C9", "torus66", "cross_polytope5", "icosahedron", "C5*C5"],
+)
+def test_vertex_transitive_graphs_have_one_orbit(g):
+    assert fr.vertex_orbits(g) == [g.labels]
+
+
+def test_path5_has_three_orbits():
+    assert fr.vertex_orbits(fr.path(5)) == [("0", "4"), ("1", "3"), ("2",)]
+
+
+# ------------------------------------------------ search nodes and budget
+
+
+@pytest.fixture
+def search_nodes(monkeypatch):
+    """Count search-tree nodes (one refinement each) from a cold labelling cache."""
+    count = [0]
+    refine = fr.graphs._refine
+
+    def counted(*args):
+        count[0] += 1
+        return refine(*args)
+
+    monkeypatch.setattr(fr.graphs, "_refine", counted)
+    fr.canonical_form.cache_clear()
+    yield count
+    fr.canonical_form.cache_clear()
+
+
+def test_torus_grid_8x8_labelling_is_pruned(search_nodes):
+    fr.canonical_form(fr.torus_grid(8, 8))
+    assert search_nodes[0] <= 100
+
+
+def test_cross_polytope_5_deck_is_pruned(search_nodes):
+    fr.deck(fr.cross_polytope(5))
+    assert search_nodes[0] <= 200
+
+
+def test_node_budget_fails_loudly(monkeypatch):
+    monkeypatch.setattr(fr.graphs, "SEARCH_NODE_BUDGET", 3)
+    fr.canonical_form.cache_clear()
+    with pytest.raises(ValueError, match="6-vertex graph"):
+        fr.canonical_form(fr.cross_polytope(3))

@@ -1,5 +1,6 @@
 """Decks, hypomorphism, certificates, and card-level reconstruction."""
 
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flagrecon as fr
-from oracles import graphs, hub, iso_bijection
+from oracles import graphs, hub, iso_bijection, reordered, symmetric_graphs
 
 
 MANIFOLD_CORPUS = [
@@ -62,9 +63,16 @@ def test_deck_of_empty_graph_rejected():
 
 @given(graphs(min_n=2, max_n=7), st.data())
 def test_deck_key_is_an_isomorphism_invariant(g, data):
-    perm = data.draw(st.permutations(g.labels))
-    h = g.relabel(dict(zip(g.labels, perm)))
+    h = reordered(g, data.draw(st.permutations(g.labels)))
     assert fr.deck(g).key() == fr.deck(h).key()
+
+
+@given(st.one_of(graphs(), symmetric_graphs()))
+def test_deck_matches_one_labelling_per_vertex(g):
+    matching = {v: fr.canonical_form(fr.vertex_deleted(g, v)) for v in g.labels}
+    d = fr.deck(g)
+    assert d.matching == matching
+    assert d.cards == Counter(matching.values())
 
 
 # ------------------------------------------------------------- hypomorphism
