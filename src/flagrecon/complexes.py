@@ -39,9 +39,11 @@ class DimensionCapExceeded(ValueError):
 class SimplicialComplex:
     """Immutable simplicial complex; build through :func:`build_complex`.
 
-    ``simplices[k]`` holds the k-simplices in a fixed deterministic order.
-    Downward closure is the builder's responsibility; the constructor only
-    guards the cheap invariants.
+    ``simplices[k]`` holds the k-simplices, each sorted by vertex position
+    and the level sorted lexicographically by position.  Downward closure
+    is the builder's responsibility; the constructor only guards the cheap
+    invariants.  :func:`link` and :func:`full_subcomplex` rely on both: they
+    filter the parent's levels and do not close or sort them again.
     """
 
     labels: tuple[str, ...]
@@ -198,43 +200,49 @@ def clique_complex(g: Graph, max_dim: int | None = None) -> SimplicialComplex:
 # ---------------------------------------------------------------------------
 
 
+def _from_levels(levels: list[tuple[Simplex, ...]]) -> SimplicialComplex:
+    """The complex with these closed, storage-ordered levels; none is the empty complex."""
+    return SimplicialComplex(tuple(v for (v,) in levels[0]) if levels else (), tuple(levels))
+
+
 def full_subcomplex(L: SimplicialComplex, t: Iterable[str]) -> SimplicialComplex:
-    """The full subcomplex on vertex subset ``t``: all simplices inside ``t``."""
+    """The full subcomplex on vertex subset ``t``: all simplices inside ``t``.
+
+    Level k keeps the k-simplices of L that lie inside ``t``, in L's order.
+    """
     wanted = set(t)
     for v in wanted:
         if v not in L._pos:
             raise ValueError(f"unknown vertex {v!r}")
-    sub_labels = tuple(v for v in L.labels if v in wanted)
-    faces = [
-        s for level in L.simplices[1:] for s in level if wanted.issuperset(s)
-    ]
-    return build_complex(sub_labels, faces)
+    levels = []
+    for level in L.simplices:
+        kept = tuple(s for s in level if wanted.issuperset(s))
+        if not kept:
+            break
+        levels.append(kept)
+    return _from_levels(levels)
 
 
 def link(L: SimplicialComplex, simplex: Iterable[str]) -> SimplicialComplex:
     """Link of a simplex: faces disjoint from it whose union with it is a face.
 
-    The link of a facet is the empty complex; the link of the link vertex set
-    is computed over exactly the vertices v with simplex + v a face of L.
+    Level j holds the (j + |simplex|)-faces of L that contain the simplex,
+    with its vertices removed, in L's order.  The link of a facet is the
+    empty complex.
     """
     s = L.simplex(simplex)
     if s not in L._face_set:
         raise ValueError(f"{s} is not a simplex of the complex")
     sset = set(s)
-    k = len(s)
-    vertices = []
-    faces = []
-    for level in L.simplices:
-        for face in level:
-            if len(face) <= k:
-                continue
-            if sset.issubset(face):
-                rest = tuple(v for v in face if v not in sset)
-                if len(rest) == 1:
-                    vertices.append(rest[0])
-                else:
-                    faces.append(rest)
-    return build_complex(vertices, faces)
+    levels = []
+    for level in L.simplices[len(s):]:
+        kept = tuple(
+            tuple(v for v in face if v not in sset) for face in level if sset.issubset(face)
+        )
+        if not kept:
+            break
+        levels.append(kept)
+    return _from_levels(levels)
 
 
 def one_skeleton(L: SimplicialComplex) -> Graph:

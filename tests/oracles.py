@@ -31,6 +31,8 @@ from flagrecon import (
     join,
     path,
     boundary_matrix,
+    build_complex,
+    clique_complex,
     smith_normal_form,
     torus_grid,
 )
@@ -246,6 +248,67 @@ def brute_maximal_cliques(g: Graph) -> list[frozenset[str]]:
         if all(g.has_edge(g.labels[i], g.labels[j]) for i, j in combinations(vs, 2)):
             cliques.append(frozenset(g.labels[i] for i in vs))
     return [c for c in cliques if not any(c < d for d in cliques)]
+
+
+def reclosed_full_subcomplex(L: SimplicialComplex, t) -> SimplicialComplex:
+    """The full subcomplex by re-closing and re-sorting the kept faces.
+
+    The library's former route: the kept faces go back through
+    ``build_complex``, which closes them downward and sorts every level,
+    so the result does not depend on L's storage order.
+    """
+    wanted = set(t)
+    for v in wanted:
+        if v not in L._pos:
+            raise ValueError(f"unknown vertex {v!r}")
+    sub_labels = tuple(v for v in L.labels if v in wanted)
+    faces = [
+        s for level in L.simplices[1:] for s in level if wanted.issuperset(s)
+    ]
+    return build_complex(sub_labels, faces)
+
+
+def reclosed_link(L: SimplicialComplex, simplex) -> SimplicialComplex:
+    """The link by re-closing and re-sorting the faces that contain the simplex."""
+    s = L.simplex(simplex)
+    if s not in L._face_set:
+        raise ValueError(f"{s} is not a simplex of the complex")
+    sset = set(s)
+    k = len(s)
+    vertices = []
+    faces = []
+    for level in L.simplices:
+        for face in level:
+            if len(face) <= k:
+                continue
+            if sset.issubset(face):
+                rest = tuple(v for v in face if v not in sset)
+                if len(rest) == 1:
+                    vertices.append(rest[0])
+                else:
+                    faces.append(rest)
+    return build_complex(vertices, faces)
+
+
+# minimal closed projective plane: 6 vertices, 15 edges, 10 triangles,
+# every edge shared by exactly two triangles
+RP2_FACES = [
+    (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
+    (2, 3, 5), (3, 4, 6), (4, 5, 2), (5, 6, 3), (6, 2, 4),
+]
+
+
+def projective_plane() -> SimplicialComplex:
+    return build_complex(
+        [str(i) for i in range(1, 7)], [[str(v) for v in t] for t in RP2_FACES]
+    )
+
+
+def corpus_complexes() -> list[tuple[str, SimplicialComplex]]:
+    """The clique complexes of the small corpus, and RP^2, which is not flag."""
+    cases = [(name, clique_complex(g)) for name, g in small_corpus()]
+    cases.append(("RP2", projective_plane()))
+    return cases
 
 
 def naive_boundary_rows(L: SimplicialComplex, k: int) -> list[list[int]]:

@@ -14,8 +14,13 @@ from pathlib import Path
 
 import flagrecon as fr
 from flagrecon.reports import analysis_report, report_json
-from oracles import matrix_multiply, random_graph, reduced_cohomology_via_cochains, small_corpus
-from test_homology import projective_plane
+from oracles import (
+    matrix_multiply,
+    projective_plane,
+    random_graph,
+    reduced_cohomology_via_cochains,
+    small_corpus,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 

@@ -7,7 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flagrecon as fr
-from oracles import brute_maximal_cliques, graphs, hub, small_corpus
+from oracles import (
+    brute_maximal_cliques,
+    corpus_complexes,
+    graphs,
+    hub,
+    reclosed_full_subcomplex,
+    reclosed_link,
+    reordered,
+    small_corpus,
+)
 
 
 def hollow_tetrahedron():
@@ -173,6 +182,72 @@ def test_link_of_missing_simplex_rejected():
     L = fr.clique_complex(fr.cycle(4))
     with pytest.raises(ValueError):
         fr.link(L, ["0", "2"])
+
+
+# ------------------------------------ filtered levels vs. re-closed faces
+
+
+def stored(L):
+    return L.labels, L.simplices
+
+
+def assert_links_and_subcomplexes_match_reclosure(L, subsets):
+    for level in L.simplices:
+        for sigma in level:
+            assert stored(fr.link(L, sigma)) == stored(reclosed_link(L, sigma))
+    for t in subsets:
+        assert stored(fr.full_subcomplex(L, t)) == stored(reclosed_full_subcomplex(L, t))
+
+
+@given(graphs(max_n=9), st.data())
+def test_filtered_levels_match_reclosure_on_flag_complexes(g, data):
+    # a drawn storage order, so position order differs from label order
+    g = reordered(g, data.draw(st.permutations(g.labels)))
+    subsets = data.draw(st.lists(st.sets(st.sampled_from(g.labels)), max_size=4))
+    assert_links_and_subcomplexes_match_reclosure(fr.clique_complex(g), subsets)
+
+
+@st.composite
+def face_list_complexes(draw):
+    labels = [f"u{i}" for i in range(draw(st.integers(1, 8)))]
+    faces = draw(st.lists(st.sets(st.sampled_from(labels), min_size=1, max_size=5), max_size=8))
+    return fr.build_complex(draw(st.permutations(labels)), faces)
+
+
+@given(face_list_complexes(), st.data())
+def test_filtered_levels_match_reclosure_on_face_lists(L, data):
+    subsets = data.draw(st.lists(st.sets(st.sampled_from(L.labels)), max_size=4))
+    assert_links_and_subcomplexes_match_reclosure(L, subsets)
+
+
+@pytest.mark.parametrize("name,L", corpus_complexes())
+def test_filtered_levels_match_reclosure_on_the_corpus(name, L):
+    labels = list(L.labels)
+    assert_links_and_subcomplexes_match_reclosure(L, [labels[::2], labels[1::3]])
+
+
+def test_filtered_levels_edge_cases():
+    # a tetrahedron with a tail: d-e-f is a path leaving it, g is isolated
+    L = fr.build_complex("gfedcba", ["abcd", "de", "ef"])
+    cases = {
+        ("a", "b", "c", "d"): (),  # facet
+        ("d", "e"): (),  # maximal edge below the top level
+        ("e",): ("f", "d"),  # level 2 exists, but holds no coface of e
+        ("g",): (),  # isolated vertex
+        ("d",): ("e", "c", "b", "a"),  # storage order, not label order
+    }
+    for sigma, vertices in cases.items():
+        assert fr.link(L, sigma).labels == vertices
+    assert fr.f_vector(fr.link(L, "d")) == (4, 3, 1)
+    assert stored(fr.full_subcomplex(L, [])) == ((), ())
+    assert stored(fr.full_subcomplex(L, L.labels)) == stored(L)
+    assert_links_and_subcomplexes_match_reclosure(L, [[], L.labels, "fed", "g"])
+    with pytest.raises(ValueError, match="unknown vertex"):
+        fr.full_subcomplex(L, ["a", "z"])
+    with pytest.raises(ValueError, match="unknown vertex"):
+        fr.link(L, ["z"])
+    with pytest.raises(ValueError, match="not a simplex"):
+        fr.link(L, ["a", "e"])
 
 
 # --------------------------------------------------------- join behaviour

@@ -8,38 +8,19 @@ from hypothesis import strategies as st
 import flagrecon as fr
 from flagrecon import homology
 from oracles import (
+    corpus_complexes,
     determinant,
     graphs,
     hub,
     identity_matrix,
     is_unimodular,
     matrix_multiply,
+    projective_plane,
     rational_betti,
     rational_rank,
     reduced_cohomology_via_cochains,
-    small_corpus,
     transpose,
 )
-
-# minimal closed projective plane: 6 vertices, 15 edges, 10 triangles,
-# every edge shared by exactly two triangles
-RP2_FACES = [
-    (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
-    (2, 3, 5), (3, 4, 6), (4, 5, 2), (5, 6, 3), (6, 2, 4),
-]
-
-
-def projective_plane():
-    return fr.build_complex(
-        [str(i) for i in range(1, 7)], [[str(v) for v in t] for t in RP2_FACES]
-    )
-
-
-def corpus_complexes():
-    cases = [(name, fr.clique_complex(g)) for name, g in small_corpus()]
-    cases.append(("RP2", projective_plane()))
-    return cases
-
 
 # ------------------------------------------------------------ matrix basics
 

@@ -127,16 +127,9 @@ def test_golden_reports_are_byte_stable(fname, g):
     assert report_json(analysis_report(g, source_format="graph6")) == expected
 
 
-def test_one_report_computes_each_fact_once(monkeypatch):
-    expected = {
-        "clique_complex": 1,
-        "is_homology_manifold": 1,
-        "is_generalized_homology_sphere": 1,
-        "is_virtual_pd": 1,
-        "condition3_vanishing": 1,
-        "link": 150,  # one per face of the 5x5 torus
-    }
-    counts = dict.fromkeys(expected, 0)
+def count_calls(monkeypatch, names):
+    """Count calls to the named flagrecon functions, from every module that binds them."""
+    counts = dict.fromkeys(names, 0)
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -149,8 +142,30 @@ def test_one_report_computes_each_fact_once(monkeypatch):
     for mod_name, mod in list(sys.modules.items()):
         if mod_name.split(".")[0] != "flagrecon":
             continue
-        for name in expected:
+        for name in names:
             if name in vars(mod):
                 monkeypatch.setattr(mod, name, counting(name, vars(mod)[name]))
+    return counts
+
+
+def test_one_report_computes_each_fact_once(monkeypatch):
+    expected = {
+        "clique_complex": 1,
+        "build_complex": 1,  # the nerve; links and subcomplexes filter its levels
+        "is_homology_manifold": 1,
+        "is_generalized_homology_sphere": 1,
+        "is_virtual_pd": 1,
+        "condition3_vanishing": 1,
+        "link": 150,  # one per face of the 5x5 torus
+    }
+    counts = count_calls(monkeypatch, expected)
     analysis_report(fr.torus_grid(5, 5), source_format="graph6")
     assert counts == expected
+
+
+def test_card_recovery_builds_one_complex(monkeypatch):
+    g = fr.torus_grid(5, 5)
+    card = fr.vertex_deleted(g, g.labels[0])
+    counts = count_calls(monkeypatch, ["build_complex", "link"])
+    assert fr.are_isomorphic(fr.reconstruct_from_card(card, 2), g)
+    assert counts == {"build_complex": 1, "link": 24}  # the card's nerve, one link per vertex
