@@ -21,7 +21,7 @@ from functools import cached_property
 from typing import Iterable, Iterator
 
 from .complexes import SimplicialComplex, Simplex, clique_complex, full_subcomplex, one_skeleton
-from .graphs import Graph, complement, is_connected
+from .graphs import Graph, complement, is_connected, iter_bits
 from .homology import AbelianGroup, GradedGroups, reduced_cohomology
 from .manifolds import SphereVerdict, is_generalized_homology_sphere
 
@@ -187,21 +187,51 @@ class Condition3Result:
     subsets_checked: int
 
 
+def _dismantled(adj: tuple[int, ...], w: int) -> int:
+    """Core of the graph induced on bitset ``w``: v goes while a neighbour u
+    has N[v] & w inside N[u]; only a deleted vertex's neighbours can become
+    dominated, so only they are examined again."""
+    todo = w
+    while todo:
+        v = todo.bit_length() - 1
+        todo ^= 1 << v
+        nbrs = adj[v] & w
+        if any(not (nbrs | 1 << v) & ~(adj[u] | 1 << u) for u in iter_bits(nbrs)):
+            w ^= 1 << v
+            todo |= nbrs
+    return w
+
+
 def _complement_cohomologies(ns: NerveSystem) -> Iterator[tuple[Simplex, GradedGroups]]:
     """Each nonempty spherical T, in (size, storage) order, with the reduced
-    cohomology of the full subcomplex on the remaining vertices."""
+    cohomology of the full subcomplex on the remaining vertices W.
+
+    The groups are computed on the core of W, which has the same homotopy
+    type: a vertex whose closed neighbourhood in W lies in a neighbour's has
+    a cone for its link, and deleting it is a strong collapse.  A one-vertex
+    core is contractible and nothing is built; the empty W of T = V still
+    gives Z in degree -1.
+    """
+    g = ns.graph
+    full = (1 << g.vertex_count) - 1
     for t in spherical_subsets(ns):
-        tset = set(t)
-        rest = [v for v in ns.graph.labels if v not in tset]
-        yield t, reduced_cohomology(full_subcomplex(ns.nerve, rest))
+        core = _dismantled(g.adj, full & ~sum(1 << g.index(v) for v in t))
+        if core.bit_count() == 1:
+            yield t, GradedGroups({})
+        else:
+            rest = [g.labels[i] for i in iter_bits(core)]
+            yield t, reduced_cohomology(full_subcomplex(ns.nerve, rest))
 
 
 def condition3_vanishing(ns: NerveSystem) -> Condition3Result:
     """Vanishing of the complement cohomology over every spherical subset.
 
     For each nonempty spherical T, the full subcomplex on the remaining
-    vertices must have trivial reduced cohomology in every degree.  The
+    vertices W must have trivial reduced cohomology in every degree.  The
     first failure, in deterministic (size, storage) order, is the witness.
+    That subcomplex is the clique complex of the graph induced on W, whose
+    dominated vertices are deleted first: each deletion is a strong
+    collapse, so the groups, and the witness, do not change.
     """
     checked = 0
     for checked, (t, coh) in enumerate(_complement_cohomologies(ns), 1):

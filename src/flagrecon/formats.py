@@ -41,9 +41,9 @@ def parse_graph6(text: str) -> Graph:
         raise FormatError("graph6 input must be ASCII") from None
     if data[0] == 126:
         raise FormatError("long-form graph6 (more than 62 vertices) is not supported")
-    n = data[0] - 63
-    if n < 0:
+    if not 63 <= data[0] <= 126:
         raise FormatError(f"graph6 header byte {data[0]} out of range")
+    n = data[0] - 63
     nbits = n * (n - 1) // 2
     body = data[1:]
     expected = (nbits + 5) // 6

@@ -27,6 +27,7 @@ from flagrecon import (
     cycle,
     disjoint_union,
     full_subcomplex,
+    reduced_cohomology,
     icosahedron,
     join,
     path,
@@ -37,6 +38,7 @@ from flagrecon import (
     torus_grid,
 )
 from flagrecon import complete as complete_graph
+from flagrecon.coxeter import Condition3Result, Condition3Witness, spherical_subsets
 from flagrecon.graphs import _cells_of, _certificate, _is_homogeneous, _refine
 
 
@@ -403,6 +405,30 @@ def join_split(g: Graph) -> tuple[list[str], list[str]] | None:
         if all(g.has_edge(g.labels[i], g.labels[j]) for i in a for j in b):
             return [g.labels[i] for i in a], [g.labels[i] for i in b]
     return None
+
+
+def undismantled_complement_cohomologies(ns: NerveSystem):
+    """Each nonempty spherical T, in (size, storage) order, with the reduced
+    cohomology of the full subcomplex on the remaining vertices.
+
+    The library's former sweep: every remainder is built and computed,
+    with no strong collapse first.
+    """
+    for t in spherical_subsets(ns):
+        tset = set(t)
+        rest = [v for v in ns.graph.labels if v not in tset]
+        yield t, reduced_cohomology(full_subcomplex(ns.nerve, rest))
+
+
+def undismantled_condition3_vanishing(ns: NerveSystem) -> Condition3Result:
+    """``condition3_vanishing`` over the undismantled sweep."""
+    checked = 0
+    for checked, (t, coh) in enumerate(undismantled_complement_cohomologies(ns), 1):
+        bad = coh.nontrivial()
+        if bad:
+            degree = min(bad)
+            return Condition3Result(False, Condition3Witness(t, degree, bad[degree]), checked)
+    return Condition3Result(True, None, checked)
 
 
 def brute_condition3_failures(ns: NerveSystem) -> list[tuple[tuple[str, ...], int]]:

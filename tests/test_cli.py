@@ -35,6 +35,11 @@ class TestAnalyze:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_graph6_header_byte_127_exits_two(self, monkeypatch, capsys):
+        code, out, err = run(monkeypatch, capsys, ["analyze"], stdin="\x7f" + "?" * 336)
+        assert code == 2
+        assert "header byte 127" in err
+
     def test_missing_file_exits_two(self, monkeypatch, capsys):
         code, out, err = run(monkeypatch, capsys, ["analyze", "/no/such/file"])
         assert code == 2

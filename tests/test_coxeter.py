@@ -5,9 +5,21 @@ from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import flagrecon as fr
-from oracles import brute_condition3_failures, graphs, hub, join_split, small_corpus
+from flagrecon.coxeter import _dismantled
+from flagrecon.graphs import iter_bits
+from oracles import (
+    brute_condition3_failures,
+    graphs,
+    hub,
+    join_split,
+    reordered,
+    small_corpus,
+    undismantled_complement_cohomologies,
+    undismantled_condition3_vanishing,
+)
 
 
 def system(g):
@@ -16,6 +28,18 @@ def system(g):
 
 def named_systems():
     return [(name, system(g)) for name, g in small_corpus()]
+
+
+def sweep_systems():
+    """The named systems, complete graphs, cones over the named graphs, and
+    the join of two pentagons: remainders that dismantle to a point, to
+    several points and not at all."""
+    c5 = fr.cycle(5)
+    cases = small_corpus()
+    cases += [(f"K{k}", fr.complete(k)) for k in range(1, 10)]
+    cases += [(f"cone_{name}", fr.join(g, hub("apex"))) for name, g in small_corpus()]
+    cases.append(("C5*C5", fr.join(c5, c5.relabel({v: f"b{v}" for v in c5.labels}))))
+    return [(name, system(g)) for name, g in cases]
 
 
 # ------------------------------------------------------------------ basics
@@ -228,6 +252,74 @@ def test_condition3_matches_oracle_on_random_graphs(g):
     failures = brute_condition3_failures(ns)
     result = fr.condition3_vanishing(ns)
     assert result.holds == (not failures)
+    if failures:
+        assert (tuple(result.witness.subset), result.witness.degree) in failures
+
+
+@pytest.mark.parametrize("name,ns", sweep_systems())
+def test_condition3_matches_the_undismantled_sweep(name, ns):
+    # holds, subsets_checked and the witness's subset, degree and group
+    assert fr.condition3_vanishing(ns) == undismantled_condition3_vanishing(ns)
+
+
+@given(graphs(max_n=9))
+def test_condition3_matches_the_undismantled_sweep_on_random_graphs(g):
+    ns = system(g)
+    assert fr.condition3_vanishing(ns) == undismantled_condition3_vanishing(ns)
+
+
+# ------------------------------------------------------------- dismantling
+
+
+def induced(g, mask):
+    keep = {g.labels[i] for i in iter_bits(mask)}
+    return fr.Graph.from_edges(
+        [v for v in g.labels if v in keep],
+        [(u, v) for u, v in g.edges() if u in keep and v in keep],
+    )
+
+
+def clique_homology(g, mask):
+    return fr.reduced_homology(fr.clique_complex(induced(g, mask)))
+
+
+def drawn_subset(g, data):
+    return data.draw(st.integers(0, (1 << g.vertex_count) - 1))
+
+
+@given(graphs(max_n=9), st.data())
+def test_dismantling_keeps_the_homology(g, data):
+    w = drawn_subset(g, data)
+    core = _dismantled(g.adj, w)
+    assert core & ~w == 0
+    assert (core == 0) == (w == 0)
+    assert clique_homology(g, core) == clique_homology(g, w)
+    if core.bit_count() == 1:
+        assert clique_homology(g, w).is_trivial_everywhere
+
+
+@given(graphs(max_n=9), st.data())
+def test_no_core_vertex_is_dominated(g, data):
+    core = _dismantled(g.adj, drawn_subset(g, data))
+    inside = [g.labels[i] for i in iter_bits(core)]
+
+    def closed(v):
+        return {v} | {u for u in inside if g.has_edge(u, v)}
+
+    for v in inside:
+        for u in closed(v) - {v}:
+            assert not closed(v) <= closed(u), f"{v} is dominated by {u}"
+
+
+@given(graphs(max_n=9), st.data())
+def test_the_core_does_not_depend_on_the_vertex_order(g, data):
+    # strong-collapse cores are unique up to isomorphism
+    w = drawn_subset(g, data)
+    h = reordered(g, data.draw(st.permutations(g.labels)))
+    w_h = sum(1 << h.index(g.labels[i]) for i in iter_bits(w))
+    core_g, core_h = _dismantled(g.adj, w), _dismantled(h.adj, w_h)
+    assert core_g.bit_count() == core_h.bit_count()
+    assert fr.are_isomorphic(induced(g, core_g), induced(h, core_h))
 
 
 # ----------------------------------------------------- group cohomology
@@ -246,6 +338,19 @@ def test_group_cohomology_detects_non_finite_generation():
     # one degree up the vanishing hypothesis holds again and the torus
     # class comes through
     assert fr.coxeter_cohomology_if_fg(ns, 3) == fr.INTEGERS
+
+
+@pytest.mark.parametrize(
+    "name,ns", [(name, ns) for name, ns in sweep_systems() if fr.is_irreducible(ns)]
+)
+def test_group_cohomology_matches_the_undismantled_sweep(name, ns):
+    cohs = [coh for _, coh in undismantled_complement_cohomologies(ns)]
+    nerve = fr.reduced_cohomology(ns.nerve)
+    for i in range(ns.nerve.dimension + 3):
+        if all(coh.group(i - 1).is_trivial for coh in cohs):
+            assert fr.coxeter_cohomology_if_fg(ns, i) == nerve.group(i - 1)
+        else:
+            assert fr.coxeter_cohomology_if_fg(ns, i) is fr.NOT_FINITELY_GENERATED
 
 
 def test_group_cohomology_requires_irreducible():

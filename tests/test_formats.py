@@ -85,6 +85,7 @@ def test_emit_rejects_more_than_62_vertices():
         "D",  # truncated body
         "Dhcc",  # oversized body
         "Dh\x1f",  # byte below 63
+        "!",  # header byte below 63
         "A" + chr(63 + 0b010000),  # nonzero padding bits for n = 2
         "Dhé",  # not ASCII
     ],
@@ -92,6 +93,12 @@ def test_emit_rejects_more_than_62_vertices():
 def test_parse_graph6_rejects_malformed_input(text):
     with pytest.raises(fr.FormatError):
         fr.parse_graph6(text)
+
+
+def test_parse_graph6_rejects_header_byte_127():
+    # 127 is not a graph6 byte; read as a size it would claim 64 vertices
+    with pytest.raises(fr.FormatError, match="header byte 127"):
+        fr.parse_graph6("\x7f" + "?" * 336)
 
 
 # --------------------------------------------------------------- edge lists

@@ -163,6 +163,21 @@ def test_one_report_computes_each_fact_once(monkeypatch):
     assert counts == expected
 
 
+@pytest.mark.parametrize(
+    "g,subsets,built",
+    [
+        (fr.cross_polytope(6), 728, 0),  # every remainder dismantles to a point
+        (fr.complete(11), 2047, 1),  # only the empty remainder, T = V
+        (fr.icosahedron(), 62, 12),  # a vertex remainder is a disc with no dominated vertex
+    ],
+)
+def test_the_sweep_builds_only_cores_that_are_not_a_point(monkeypatch, g, subsets, built):
+    ns = fr.NerveSystem.from_graph(g)
+    counts = count_calls(monkeypatch, ["full_subcomplex"])
+    assert fr.condition3_vanishing(ns).subsets_checked == subsets
+    assert counts == {"full_subcomplex": built}
+
+
 def test_card_recovery_builds_one_complex(monkeypatch):
     g = fr.torus_grid(5, 5)
     card = fr.vertex_deleted(g, g.labels[0])
