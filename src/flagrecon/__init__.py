@@ -17,6 +17,7 @@ from .complexes import (
     full_subcomplex,
     is_flag,
     link,
+    links,
     one_skeleton,
 )
 from .coxeter import (

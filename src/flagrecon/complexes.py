@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .graphs import Graph, iter_bits
@@ -22,6 +23,7 @@ __all__ = [
     "clique_complex",
     "full_subcomplex",
     "link",
+    "links",
     "one_skeleton",
     "is_flag",
     "f_vector",
@@ -243,6 +245,36 @@ def link(L: SimplicialComplex, simplex: Iterable[str]) -> SimplicialComplex:
             break
         levels.append(kept)
     return _from_levels(levels)
+
+
+def _picker(positions: Sequence[int]) -> itemgetter:
+    """Reads these positions of a tuple into a tuple, a single one included."""
+    p = positions[0]
+    return itemgetter(*positions) if len(positions) > 1 else itemgetter(slice(p, p + 1))
+
+
+def links(L: SimplicialComplex, k: int) -> list[SimplicialComplex]:
+    """The links of all k-simplices, in the order of ``L.faces(k)``; [] if k is not in 0..dim.
+
+    One pass over the levels above k: each face hands its remainder to each
+    of its (k + 1)-vertex subfaces, in L's order, so entry i equals
+    ``link(L, L.faces(k)[i])``, storage order included.
+    """
+    index = {s: i for i, s in enumerate(L.faces(k))}
+    out: list[list[list[Simplex]]] = [[] for _ in index]
+    for j, level in enumerate(L.simplices[k + 1 :] if index else ()):
+        size = range(j + k + 2)  # (subface, remainder) position splits, shared by the level
+        splits = [
+            (_picker(sub), _picker([p for p in size if p not in sub]))
+            for sub in itertools.combinations(size, k + 1)
+        ]
+        for face in level:
+            for sub, rest in splits:
+                lk = out[index[sub(face)]]
+                if len(lk) == j:
+                    lk.append([])
+                lk[j].append(rest(face))
+    return [_from_levels([tuple(level) for level in lk]) for lk in out]
 
 
 def one_skeleton(L: SimplicialComplex) -> Graph:

@@ -28,9 +28,9 @@ def parse_graph6(text: str) -> Graph:
 
     The upper-triangle bits run column by column: (0,1), (0,2), (1,2),
     (0,3), ...  Six bits per printable byte, offset 63; padding bits must
-    be zero.
+    be zero.  Only ASCII whitespace is stripped; any other byte meets the checks.
     """
-    line = text.strip()
+    line = text.strip(" \t\n\r\x0b\x0c")
     if line.startswith(">>graph6<<"):
         line = line[len(">>graph6<<") :]
     if not line:

@@ -1,13 +1,12 @@
 """Exact integer simplicial (co)homology by unit elimination and Smith normal form.
 
 Each boundary operator is assembled as sparse rows.  Its +-1 pivots are
-eliminated by exact Schur complement over Z, each one splitting a 1 off the
-Smith normal form; the dense Smith normal form then runs on what is left,
-the residual block, which is where torsion lives.  All arithmetic uses
-Python's arbitrary-precision integers; fixed-width words would overflow
-silently on exactly the matrices where torsion shows up.  Homology is
-reduced throughout, with the empty complex treated as the (-1)-sphere: its
-only nontrivial group is H~[-1] = Z.
+eliminated by exact Schur complement over Z, each splitting a 1 off the
+Smith normal form; the dense form then runs on the residual block, where
+torsion lives, in arbitrary-precision integers (fixed-width words would
+overflow silently there).  A graph (dimension <= 1, c components) needs no
+matrix: H~[0] = Z^(c-1), H~[1] = Z^(E-V+c), no torsion.  Homology is
+reduced; the empty complex is the (-1)-sphere, with H~[-1] = Z only.
 """
 
 from __future__ import annotations
@@ -369,15 +368,25 @@ class GradedGroups:
 def reduced_homology(L: SimplicialComplex) -> GradedGroups:
     """Reduced integral homology in every degree -1 .. dim(L).
 
-    The augmented chain complex is used throughout, so the empty complex
-    reports Z in degree -1 and a nonempty complex reports rank
-    (#components - 1) in degree 0.  Each boundary operator loses its +-1
-    pivots to sparse elimination first; the Smith normal form of the
-    residual block adds the remaining rank and all of the torsion.
+    The augmented chain complex is used, so the empty complex reports Z in
+    degree -1.  Up to dimension 1, union-find counts the c components:
+    H~[0] = Z^(c-1), H~[1] = Z^(E-V+c), no torsion.  Above it each boundary
+    operator loses its +-1 pivots to sparse elimination first; the Smith
+    normal form of the residual block adds the remaining rank and torsion.
     """
     dim = L.dimension
     if dim == -1:
         return GradedGroups({-1: INTEGERS})
+    if dim <= 1:
+        root = {v: v for v in L.labels}  # union-find over the edges
+        for a, b in L.faces(1):
+            while root[a] != a or root[b] != b:  # up to both roots, halving the paths
+                root[a] = a = root[root[a]]
+                root[b] = b = root[root[b]]
+            root[a] = b
+        c = sum(v == r for v, r in root.items())
+        cycles = {1: AbelianGroup(len(L.faces(1)) - len(root) + c)} if dim else {}
+        return GradedGroups({-1: TRIVIAL_GROUP, 0: AbelianGroup(c - 1), **cycles})
     f = [len(level) for level in L.simplices]
     ranks, torsion = [], []
     for k in range(dim + 2):
@@ -397,14 +406,11 @@ def reduced_cohomology(L: SimplicialComplex) -> GradedGroups:
     Free part of H~^k equals the free part of H~_k; torsion is the torsion
     of H~_{k-1}.
     """
-    dim = L.dimension
-    if dim == -1:
-        return GradedGroups({-1: INTEGERS})
     h = reduced_homology(L)
     return GradedGroups(
         {
             k: AbelianGroup(h.group(k).rank, h.group(k - 1).torsion)
-            for k in range(-1, dim + 1)
+            for k in range(-1, L.dimension + 1)
         }
     )
 
@@ -416,6 +422,4 @@ def local_homology(L: SimplicialComplex, simplex: Iterable[str]) -> GradedGroups
     degree n (its link is empty, the (-1)-sphere).
     """
     s = L.simplex(simplex)
-    if s not in L._face_set:
-        raise ValueError(f"{s} is not a simplex of the complex")
     return reduced_homology(link(L, s)).shifted(len(s))

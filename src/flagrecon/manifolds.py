@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .complexes import Simplex, SimplicialComplex, link
+from .complexes import Simplex, SimplicialComplex, links
 from .homology import INTEGERS, AbelianGroup, GradedGroups, local_homology, reduced_homology
 
 __all__ = [
@@ -92,8 +92,7 @@ def is_homology_manifold(L: SimplicialComplex, n: int) -> ManifoldVerdict:
             return ManifoldVerdict(False, n, (witness,))
     for k, level in enumerate(L.simplices):
         expected = sphere_homology(n - k - 1)
-        for s in level:
-            link_hom = reduced_homology(link(L, s))
+        for s, link_hom in zip(level, map(reduced_homology, links(L, k))):
             if link_hom != expected:
                 witness = ManifoldWitness(
                     s,
@@ -167,8 +166,7 @@ def boundary_of(L: SimplicialComplex, n: int) -> frozenset[str]:
         raise ValueError(f"complex is not pure of dimension {n}")
     interior = sphere_homology(n - 1)
     out = []
-    for v in L.labels:
-        h = reduced_homology(link(L, (v,)))
+    for v, h in zip(L.labels, map(reduced_homology, links(L, 0))):
         if h == interior:
             continue
         if h.is_trivial_everywhere:

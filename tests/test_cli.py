@@ -40,6 +40,11 @@ class TestAnalyze:
         assert code == 2
         assert "header byte 127" in err
 
+    def test_graph6_with_a_separator_exits_two(self, monkeypatch, capsys):
+        code, out, err = run(monkeypatch, capsys, ["analyze"], stdin="\x1cA_\x85")
+        assert code == 2
+        assert "ASCII" in err  # the separator is kept, and so is the non-ASCII \x85
+
     def test_missing_file_exits_two(self, monkeypatch, capsys):
         code, out, err = run(monkeypatch, capsys, ["analyze", "/no/such/file"])
         assert code == 2

@@ -250,6 +250,42 @@ def test_filtered_levels_edge_cases():
         fr.link(L, ["a", "e"])
 
 
+# ---------------------------------------------- all links of a level at once
+
+
+def assert_links_match_link(L):
+    for k in range(L.dimension + 2):
+        expected = [stored(fr.link(L, sigma)) for sigma in L.faces(k)]
+        assert [stored(lk) for lk in fr.links(L, k)] == expected
+
+
+@given(graphs(max_n=9), st.data())
+def test_links_match_link_on_flag_complexes(g, data):
+    g = reordered(g, data.draw(st.permutations(g.labels)))
+    assert_links_match_link(fr.clique_complex(g))
+
+
+@given(face_list_complexes())
+def test_links_match_link_on_face_lists(L):
+    assert_links_match_link(L)
+
+
+@pytest.mark.parametrize("name,L", corpus_complexes())
+def test_links_match_link_on_the_corpus(name, L):
+    assert_links_match_link(L)
+
+
+def test_links_edge_cases():
+    L = fr.build_complex("gfedcba", ["abcd", "de", "ef"])
+    assert_links_match_link(L)
+    assert [stored(lk) for lk in fr.links(L, 3)] == [((), ())]  # k = dim: facets
+    octahedron = fr.clique_complex(fr.cross_polytope(3))
+    assert [stored(lk) for lk in fr.links(octahedron, 2)] == [((), ())] * 8
+    assert fr.links(L, 4) == [] and fr.links(L, -1) == []
+    assert [lk.labels for lk in fr.links(L, 0)][2:4] == [("f", "d"), ("e", "c", "b", "a")]
+    assert fr.links(fr.build_complex([], []), 0) == []
+
+
 # --------------------------------------------------------- join behaviour
 
 

@@ -88,6 +88,9 @@ def test_emit_rejects_more_than_62_vertices():
         "!",  # header byte below 63
         "A" + chr(63 + 0b010000),  # nonzero padding bits for n = 2
         "Dhé",  # not ASCII
+        "\x1cA_\x85",  # a separator and a Unicode space, neither stripped
+        "A_\xa0",  # no-break space after a valid line
+        "\x1fh",  # separator before a valid header
     ],
 )
 def test_parse_graph6_rejects_malformed_input(text):

@@ -249,6 +249,64 @@ def test_homology_of_random_flag_complexes_matches_oracle_ranks(g):
     assert got == rational_betti(L)
 
 
+# ------------------------------------------- graphs: homology without a matrix
+
+
+@st.composite
+def one_dimensional_complexes(draw):
+    """Graphs as 1-complexes: drawn, forests, disjoint cycles, isolated points."""
+    kind = draw(st.sampled_from(["graph", "forest", "cycles"]))
+    if kind == "graph":
+        g = draw(graphs(max_n=9))
+        return fr.build_complex(g.labels, g.edges())
+    labels = [f"u{i}" for i in range(draw(st.integers(0, 10)))]
+    if kind == "forest":
+        # each vertex hangs below an earlier one or starts a new tree
+        parents = [draw(st.integers(-1, i - 1)) for i in range(len(labels))]
+        edges = [(labels[p], labels[i]) for i, p in enumerate(parents) if p >= 0]
+    else:
+        edges, start = [], 0
+        for size in draw(st.lists(st.integers(3, 5), max_size=3)):
+            if start + size > len(labels):
+                break
+            ring = labels[start : start + size]
+            edges += list(zip(ring, ring[1:] + ring[:1]))
+            start += size
+    return fr.build_complex(labels, edges)
+
+
+def check_matrix_free_homology(L):
+    h = fr.reduced_homology(L)
+    assert L.dimension <= 1
+    assert h.degrees() == list(range(-1, L.dimension + 1))
+    assert all(not h.group(k).torsion for k in h.degrees())
+    assert {k: h.group(k).rank for k in h.degrees() if h.group(k).rank} == rational_betti(L)
+    # universal coefficients: free parts equal, torsion moves up a degree (none here)
+    co = reduced_cohomology_via_cochains(L)
+    for k in range(-1, L.dimension + 1):
+        assert co.group(k) == fr.AbelianGroup(h.group(k).rank, h.group(k - 1).torsion)
+
+
+@given(one_dimensional_complexes())
+def test_matrix_free_homology_matches_the_oracles(L):
+    check_matrix_free_homology(L)
+
+
+@pytest.mark.parametrize(
+    "L,expected",
+    [
+        (fr.build_complex([], []), {-1: "Z"}),
+        (fr.build_complex(["v"], []), {}),
+        (fr.build_complex("abc", []), {0: "Z^2"}),
+        (fr.build_complex("abcdef", ["ab", "bc", "ca", "de", "ef", "fd"]), {0: "Z", 1: "Z^2"}),
+        (fr.build_complex("abcdeg", ["ab", "bc", "cd", "ce"]), {0: "Z"}),
+    ],
+)
+def test_matrix_free_homology_known_graphs(L, expected):
+    assert groups_of(fr.reduced_homology(L)) == expected
+    check_matrix_free_homology(L)
+
+
 # ------------------------------------------------------------- cohomology
 
 

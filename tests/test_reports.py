@@ -156,7 +156,8 @@ def test_one_report_computes_each_fact_once(monkeypatch):
         "is_generalized_homology_sphere": 1,
         "is_virtual_pd": 1,
         "condition3_vanishing": 1,
-        "link": 150,  # one per face of the 5x5 torus
+        "link": 0,
+        "links": 3,  # one pass per dimension of the 5x5 torus, k = 0, 1, 2
     }
     counts = count_calls(monkeypatch, expected)
     analysis_report(fr.torus_grid(5, 5), source_format="graph6")
@@ -181,6 +182,7 @@ def test_the_sweep_builds_only_cores_that_are_not_a_point(monkeypatch, g, subset
 def test_card_recovery_builds_one_complex(monkeypatch):
     g = fr.torus_grid(5, 5)
     card = fr.vertex_deleted(g, g.labels[0])
-    counts = count_calls(monkeypatch, ["build_complex", "link"])
+    counts = count_calls(monkeypatch, ["build_complex", "link", "links"])
     assert fr.are_isomorphic(fr.reconstruct_from_card(card, 2), g)
-    assert counts == {"build_complex": 1, "link": 24}  # the card's nerve, one link per vertex
+    # the card's nerve, and its vertex links in one pass
+    assert counts == {"build_complex": 1, "link": 0, "links": 1}
