@@ -123,7 +123,9 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
 
 def _cmd_scan(args: argparse.Namespace) -> int:
     if args.corpus is not None:
-        lines = [ln for ln in _read_input(args.corpus).splitlines() if ln.strip()]
+        # only "\n" ends a line; parse_graph6 rejects any other control byte
+        text = _read_input(args.corpus)
+        lines = [ln for ln in text.split("\n") if ln.strip(" \t\r\x0b\x0c")]
         seen: dict[bytes, object] = {}
         for ln in lines:
             g = parse_graph6(ln)

@@ -39,13 +39,15 @@ class DimensionCapExceeded(ValueError):
 
 @dataclass(frozen=True)
 class SimplicialComplex:
-    """Immutable simplicial complex; build through :func:`build_complex`.
+    """Immutable simplicial complex.
 
     ``simplices[k]`` holds the k-simplices, each sorted by vertex position
     and the level sorted lexicographically by position.  Downward closure
     is the builder's responsibility; the constructor only guards the cheap
-    invariants.  :func:`link` and :func:`full_subcomplex` rely on both: they
-    filter the parent's levels and do not close or sort them again.
+    invariants.  :func:`build_complex` closes and sorts outside face lists;
+    :func:`clique_complex`, :func:`link`, :func:`links` and
+    :func:`full_subcomplex` make closed, storage-ordered levels directly
+    and hand them to ``_from_levels``.
     """
 
     labels: tuple[str, ...]
@@ -145,56 +147,33 @@ def build_complex(labels: Iterable[str], faces: Iterable[Iterable[str]]) -> Simp
 # ---------------------------------------------------------------------------
 
 
-def _maximal_cliques(adj: Sequence[int], n: int) -> list[int]:
-    """All maximal cliques as bitsets (pivoting Bron-Kerbosch)."""
-    if n == 0:
-        return []
-    out: list[int] = []
-
-    def expand(r: int, p: int, x: int) -> None:
-        if not p and not x:
-            out.append(r)
-            return
-        # pivot on the vertex of p|x with the most candidates in p
-        best_u, best_cnt = -1, -1
-        rest = p | x
-        while rest:
-            low = rest & -rest
-            u = low.bit_length() - 1
-            rest ^= low
-            c = (adj[u] & p).bit_count()
-            if c > best_cnt:
-                best_u, best_cnt = u, c
-        cand = p & ~adj[best_u]
-        while cand:
-            low = cand & -cand
-            v = low.bit_length() - 1
-            cand ^= low
-            expand(r | low, p & adj[v], x & adj[v])
-            p &= ~low
-            x |= low
-
-    expand(0, (1 << n) - 1, 0)
-    return out
-
-
 def clique_complex(g: Graph, max_dim: int | None = None) -> SimplicialComplex:
     """The flag complex of ``g``: every clique becomes a simplex.
 
-    ``max_dim`` guards against accidental blowup on dense graphs; a clique
-    larger than ``max_dim + 1`` vertices raises :class:`DimensionCapExceeded`
-    rather than truncating silently.
+    Built level by level from the adjacency bitsets.  Each clique carries
+    ``up``, the vertices above its last one that are adjacent to all of it;
+    a vertex starts with its neighbours above it.  Level k + 1 extends each
+    k-clique by each v in its ``up``, with ``up & adj[v]`` above v as the new
+    ``up``.  So every face is made once, and each level comes out in
+    lexicographic order of positions, the storage order.  With ``max_dim``
+    set, a non-empty level ``max_dim + 1`` raises :class:`DimensionCapExceeded`
+    at once rather than truncating silently; no higher level is built.
     """
-    cliques = _maximal_cliques(g.adj, g.vertex_count)
-    if max_dim is not None:
-        for c in cliques:
-            size = c.bit_count()
-            if size > max_dim + 1:
-                raise DimensionCapExceeded(
-                    f"clique on {size} vertices exceeds the dimension cap {max_dim}"
-                )
-    faces = [[g.labels[i] for i in iter_bits(c)] for c in cliques]
-    return build_complex(g.labels, faces)
+    adj, labels = g.adj, g.labels
+    frontier = [((v,), adj[i] & (-1 << (i + 1))) for i, v in enumerate(labels)]
+    levels: list[tuple[Simplex, ...]] = []
+    while frontier:
+        if max_dim is not None and len(levels) > max_dim:
+            raise DimensionCapExceeded(
+                f"clique on {len(levels) + 1} vertices exceeds the dimension cap {max_dim}"
+            )
+        levels.append(tuple(s for s, _ in frontier))
+        frontier = [
+            (s + (labels[v],), up & adj[v] & (-1 << (v + 1)))
+            for s, up in frontier
+            for v in iter_bits(up)
+        ]
+    return _from_levels(levels)
 
 
 # ---------------------------------------------------------------------------

@@ -241,14 +241,21 @@ def is_unimodular(rows: list[list[int]]) -> bool:
 
 
 def brute_maximal_cliques(g: Graph) -> list[frozenset[str]]:
-    """Maximal cliques by sweeping all 2^n vertex subsets."""
-    n = g.vertex_count
-    assert n <= 14
+    """Maximal cliques by sweeping the vertex subsets of each size in turn.
+
+    Cliques are closed downward, so the sweep stops at the first size that
+    has none.
+    """
     cliques = []
-    for mask in range(1, 1 << n):
-        vs = [i for i in range(n) if mask >> i & 1]
-        if all(g.has_edge(g.labels[i], g.labels[j]) for i, j in combinations(vs, 2)):
-            cliques.append(frozenset(g.labels[i] for i in vs))
+    for k in range(1, g.vertex_count + 1):
+        found = [
+            frozenset(vs)
+            for vs in combinations(g.labels, k)
+            if all(g.has_edge(u, v) for u, v in combinations(vs, 2))
+        ]
+        if not found:
+            break
+        cliques += found
     return [c for c in cliques if not any(c < d for d in cliques)]
 
 

@@ -168,6 +168,19 @@ class TestScan:
         assert "note: dropped 1 duplicate isomorphism class(es)" in out
         assert "classes scanned: 2" in out
 
+    def test_unicode_line_break_inside_a_line_exits_two(self, monkeypatch, capsys, tmp_path):
+        corpus = tmp_path / "corpus.g6"
+        corpus.write_text("A_\x1cA_\n")
+        code, out, err = run(monkeypatch, capsys, ["scan", str(corpus)])
+        assert code == 2
+        assert err.startswith("error:")
+
+    def test_crlf_corpus_scans_line_by_line(self, monkeypatch, capsys):
+        code, out, err = run(monkeypatch, capsys, ["scan", "-"], stdin="Dhc\r\nCl\r\n")
+        assert code == 0
+        assert "classes scanned: 2" in out
+        assert "dropped" not in out
+
     def test_order_bound_violation_exits_two(self, monkeypatch, capsys):
         code, out, err = run(monkeypatch, capsys, ["scan", "--max-n", "0"])
         assert code == 2

@@ -3,7 +3,7 @@
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import flagrecon as fr
@@ -85,11 +85,19 @@ def test_clique_complex_of_empty_graph():
     assert fr.f_vector(L) == ()
 
 
-@given(graphs(max_n=9))
+@given(graphs(max_n=9).flatmap(lambda g: st.permutations(g.labels).map(lambda o: reordered(g, o))))
+@example(fr.Graph((), ()))
+@example(fr.Graph.from_edges("abc", []))
+@example(fr.torus_grid(5, 5))
+@example(fr.cross_polytope(4))
+@example(fr.icosahedron())
 def test_maximal_cliques_match_subset_sweep(g):
     L = fr.clique_complex(g)
-    got = {frozenset(s) for s in fr.maximal_simplices(L)}
-    assert got == set(brute_maximal_cliques(g))
+    maximal = brute_maximal_cliques(g)
+    assert {frozenset(s) for s in fr.maximal_simplices(L)} == set(maximal)
+    # the level-by-level build equals the downward re-closure, storage order included
+    closed = fr.build_complex(g.labels, maximal)
+    assert (L.labels, L.simplices) == (closed.labels, closed.simplices)
 
 
 @given(graphs(max_n=8))
@@ -101,11 +109,18 @@ def test_hollow_tetrahedron_is_not_flag():
     assert not fr.is_flag(hollow_tetrahedron())
 
 
-def test_dimension_cap_raises_instead_of_truncating():
-    with pytest.raises(fr.DimensionCapExceeded):
-        fr.clique_complex(fr.complete(5), max_dim=2)
-    # a cap at or above the true dimension changes nothing
-    assert fr.clique_complex(fr.complete(5), max_dim=4) == fr.clique_complex(fr.complete(5))
+@given(graphs(max_n=8), st.integers(-1, 4))
+@example(fr.Graph((), ()), -1)
+@example(fr.complete(5), 2)
+def test_dimension_cap_raises_instead_of_truncating(g, max_dim):
+    clique_number = max(map(len, brute_maximal_cliques(g)), default=0)
+    if clique_number > max_dim + 1:
+        # the smallest clique over the cap is named
+        with pytest.raises(fr.DimensionCapExceeded, match=f"^clique on {max_dim + 2} vertices "):
+            fr.clique_complex(g, max_dim)
+    else:
+        # a cap at or above the true dimension changes nothing
+        assert fr.clique_complex(g, max_dim) == fr.clique_complex(g)
 
 
 @given(graphs(max_n=8))

@@ -150,8 +150,8 @@ def count_calls(monkeypatch, names):
 
 def test_one_report_computes_each_fact_once(monkeypatch):
     expected = {
-        "clique_complex": 1,
-        "build_complex": 1,  # the nerve; links and subcomplexes filter its levels
+        "clique_complex": 1,  # the nerve, level by level from the graph's bitsets
+        "build_complex": 0,  # links and subcomplexes filter the nerve's levels
         "is_homology_manifold": 1,
         "is_generalized_homology_sphere": 1,
         "is_virtual_pd": 1,
@@ -182,7 +182,7 @@ def test_the_sweep_builds_only_cores_that_are_not_a_point(monkeypatch, g, subset
 def test_card_recovery_builds_one_complex(monkeypatch):
     g = fr.torus_grid(5, 5)
     card = fr.vertex_deleted(g, g.labels[0])
-    counts = count_calls(monkeypatch, ["build_complex", "link", "links"])
+    counts = count_calls(monkeypatch, ["clique_complex", "build_complex", "link", "links"])
     assert fr.are_isomorphic(fr.reconstruct_from_card(card, 2), g)
     # the card's nerve, and its vertex links in one pass
-    assert counts == {"build_complex": 1, "link": 0, "links": 1}
+    assert counts == {"clique_complex": 1, "build_complex": 0, "link": 0, "links": 1}
