@@ -99,13 +99,14 @@ def emit_graph6(g: Graph) -> str:
 def parse_edge_list(text: str) -> Graph:
     """One 'u v' pair per line; labels are free-form tokens.
 
-    Vertex order is first appearance.  Repeated edges collapse silently;
-    self-loops and malformed lines are errors that name the line.
+    Only a line feed ends a line.  Vertex order is first appearance.  Repeated
+    edges collapse silently; self-loops and malformed lines are errors that
+    name the line.
     """
     labels: list[str] = []
     seen: set[str] = set()
     edges: list[tuple[str, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -126,14 +127,14 @@ def parse_edge_list(text: str) -> Graph:
 def parse_complex(text: str) -> SimplicialComplex:
     """One maximal simplex per line, as whitespace-separated vertex tokens.
 
-    The complex is the downward closure of the listed faces; vertex order is
-    first appearance.  A repeated vertex inside a line is an error naming
-    the line.
+    Only a line feed ends a line.  The complex is the downward closure of the
+    listed faces; vertex order is first appearance.  A repeated vertex inside
+    a line is an error naming the line.
     """
     labels: list[str] = []
     seen: set[str] = set()
     faces: list[list[str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line:
             continue

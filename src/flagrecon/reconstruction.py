@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 from .complexes import clique_complex
 from .coxeter import NerveSystem, PDVerdict
-from .graphs import Graph, canonical_form, graph_from_canonical_form, vertex_deleted, vertex_orbits
+from .graphs import Graph, canonical_form, graph_from_canonical_form, iter_bits
+from .graphs import vertex_deleted, vertex_orbits
 from .manifolds import ManifoldVerdict, boundary_of
 
 __all__ = [
@@ -74,18 +75,9 @@ def are_hypomorphic(g1: Graph, g2: Graph) -> dict[str, str] | None:
     d1, d2 = deck(g1), deck(g2)
     if d1.key() != d2.key():
         return None
-    by_card1: dict[bytes, list[str]] = {}
-    for v, card in d1.matching.items():
-        by_card1.setdefault(card, []).append(v)
-    by_card2: dict[bytes, list[str]] = {}
-    for v, card in d2.matching.items():
-        by_card2.setdefault(card, []).append(v)
-    out: dict[str, str] = {}
-    for card, vs1 in by_card1.items():
-        vs2 = by_card2[card]
-        for a, b in zip(sorted(vs1), sorted(vs2)):
-            out[a] = b
-    return out
+    order1 = sorted(g1.labels, key=lambda v: (d1.matching[v], v))
+    order2 = sorted(g2.labels, key=lambda v: (d2.matching[v], v))
+    return dict(zip(order1, order2))
 
 
 VERDICT_THEOREM_1 = "theorem_1"
@@ -168,11 +160,10 @@ def reconstruct_from_card(card: Graph, n: int, max_dim: int | None = None) -> Gr
 def enumerate_graphs(n: int) -> list[Graph]:
     """One canonically labelled representative per isomorphism class of order n.
 
-    Representatives are grown by attaching one vertex in every possible way
-    to the classes one order down, deduplicating by canonical form at each
-    step; every class of order n arises this way from deleting a vertex.
-    Capped at n = 7 (1044 classes), which keeps time and memory at desk
-    scale.
+    Grown from the classes one order down by attaching a new vertex of minimum
+    degree, deduplicating by canonical form.  Exact: deleting a minimum-degree
+    vertex v of G leaves a copy of some class H, and joining a new vertex to the
+    image of N(v) in H rebuilds G.  Capped at n = 7 (1044 classes).
     """
     if not 1 <= n <= 7:
         raise ValueError("enumeration supports 1 <= n <= 7")
@@ -183,11 +174,13 @@ def enumerate_graphs(n: int) -> list[Graph]:
         grown: dict[bytes, Graph] = {}
         for g in reps.values():
             labels = g.labels + (str(k - 1),)
+            degrees = [row.bit_count() for row in g.adj]
             for mask in range(1 << (k - 1)):
+                if any(d + (mask >> i & 1) < mask.bit_count() for i, d in enumerate(degrees)):
+                    continue
                 adj = list(g.adj) + [mask]
-                for i in range(k - 1):
-                    if mask >> i & 1:
-                        adj[i] |= 1 << (k - 1)
+                for i in iter_bits(mask):
+                    adj[i] |= 1 << (k - 1)
                 cert = canonical_form(Graph(labels, tuple(adj)))
                 if cert not in grown:
                     grown[cert] = graph_from_canonical_form(cert)
@@ -195,14 +188,34 @@ def enumerate_graphs(n: int) -> list[Graph]:
     return [reps[c] for c in sorted(reps)]
 
 
+def _deck_invariant(g: Graph) -> tuple:
+    """Sorted (degree sequence, triangle count) of the cards, read off ``g.adj``.
+
+    Both are invariants of each card, so the multiset is a function of the deck.
+    """
+    degrees = [row.bit_count() for row in g.adj]
+    tri = [sum((g.adj[u] & row).bit_count() for u in iter_bits(row)) // 2 for row in g.adj]
+    total = sum(tri) // 3
+    return tuple(sorted(
+        (tuple(sorted(d - (row >> u & 1) for u, d in enumerate(degrees) if u != v)), total - tri[v])
+        for v, row in enumerate(g.adj)
+    ))
+
+
 def brute_force_oracle(graphs: list[Graph]) -> list[list[Graph]]:
     """Group pairwise non-isomorphic graphs by identical decks.
 
     Returns the groups of size >= 2: families of mutually hypomorphic,
     non-isomorphic graphs.  Callers must pass one representative per
-    isomorphism class; duplicates would show up as fake groups.
+    isomorphism class; duplicates would show up as fake groups.  Only graphs
+    sharing their ``_deck_invariant`` get a deck: hypomorphic graphs share it.
     """
+    if any(g.vertex_count < 1 for g in graphs):
+        raise ValueError("decks need at least one vertex")
+    keys = [_deck_invariant(g) for g in graphs]
+    shared = Counter(keys)
     by_deck: dict[tuple, list[Graph]] = {}
-    for g in graphs:
-        by_deck.setdefault(deck(g).key(), []).append(g)
+    for g, key in zip(graphs, keys):
+        if shared[key] > 1:
+            by_deck.setdefault(deck(g).key(), []).append(g)
     return [group for group in by_deck.values() if len(group) > 1]

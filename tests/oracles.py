@@ -33,7 +33,10 @@ from flagrecon import (
     path,
     boundary_matrix,
     build_complex,
+    canonical_form,
     clique_complex,
+    deck,
+    graph_from_canonical_form,
     smith_normal_form,
     torus_grid,
 )
@@ -459,3 +462,40 @@ def brute_condition3_failures(ns: NerveSystem) -> list[tuple[tuple[str, ...], in
         for d in sorted(groups.nontrivial()):
             failures.append((tuple(vs), d))
     return failures
+
+
+def unpruned_enumerate_graphs(n: int) -> list[Graph]:
+    """``enumerate_graphs`` without the minimum-degree filter.
+
+    Every one of the 2^(k-1) ways to attach vertex k-1 to each class of
+    order k-1 is labelled, so no argument about which vertex to grow at is
+    needed for completeness.
+    """
+    reps: dict[bytes, Graph] = {}
+    single = Graph(("0",), (0,))
+    reps[canonical_form(single)] = single
+    for k in range(2, n + 1):
+        grown: dict[bytes, Graph] = {}
+        for g in reps.values():
+            labels = g.labels + (str(k - 1),)
+            for mask in range(1 << (k - 1)):
+                adj = list(g.adj) + [mask]
+                for i in range(k - 1):
+                    if mask >> i & 1:
+                        adj[i] |= 1 << (k - 1)
+                cert = canonical_form(Graph(labels, tuple(adj)))
+                if cert not in grown:
+                    grown[cert] = graph_from_canonical_form(cert)
+        reps = grown
+    return [reps[c] for c in sorted(reps)]
+
+
+def all_decks_oracle(graphs: list[Graph]) -> list[list[Graph]]:
+    """``brute_force_oracle`` without the invariant filter: every graph gets a deck.
+
+    Groups of size >= 2 by identical deck, in input order.
+    """
+    by_deck: dict[tuple, list[Graph]] = {}
+    for g in graphs:
+        by_deck.setdefault(deck(g).key(), []).append(g)
+    return [group for group in by_deck.values() if len(group) > 1]

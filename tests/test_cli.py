@@ -181,6 +181,14 @@ class TestScan:
         assert "classes scanned: 2" in out
         assert "dropped" not in out
 
+    @pytest.mark.parametrize("text", ["?\n", "A_\n?\nDhc\nCl\n"], ids=["alone", "mixed"])
+    def test_empty_graph_in_the_corpus_exits_two(self, monkeypatch, capsys, tmp_path, text):
+        corpus = tmp_path / "corpus.g6"
+        corpus.write_text(text)
+        code, out, err = run(monkeypatch, capsys, ["scan", str(corpus)])
+        assert code == 2
+        assert err == "error: decks need at least one vertex\n"
+
     def test_order_bound_violation_exits_two(self, monkeypatch, capsys):
         code, out, err = run(monkeypatch, capsys, ["scan", "--max-n", "0"])
         assert code == 2

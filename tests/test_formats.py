@@ -130,6 +130,25 @@ def test_parse_edge_list_rejects_wrong_token_count():
         fr.parse_edge_list("a b\nb c\nd\n")
 
 
+@pytest.mark.parametrize("sep", ["\x1c", "\x1d", "\x1e", "\x85", "\u2028"])
+def test_parse_edge_list_ends_lines_at_line_feeds_only(sep):
+    with pytest.raises(fr.FormatError, match="line 1: expected two vertex tokens, got 4"):
+        fr.parse_edge_list(f"0 1{sep}2 3")
+    with pytest.raises(fr.FormatError, match="line 2: expected two vertex tokens, got 3"):
+        fr.parse_edge_list(f"0 1\n2{sep}3 4\n")
+
+
+def test_parse_edge_list_reads_a_separator_between_tokens_as_whitespace():
+    assert fr.parse_edge_list("0\x1c1") == fr.parse_edge_list("0 1")
+
+
+def test_parse_edge_list_reads_crlf_lines():
+    g = fr.parse_edge_list("a b\r\nb c\r\n")
+    assert g == fr.parse_edge_list("a b\nb c\n")
+    with pytest.raises(fr.FormatError, match="line 2"):
+        fr.parse_edge_list("a b\r\nc c\r\n")
+
+
 def test_parse_edge_list_of_nothing_is_the_empty_graph():
     assert fr.parse_edge_list("") == fr.Graph((), ())
 
@@ -151,6 +170,17 @@ def test_parse_complex_single_vertices_are_allowed():
 def test_parse_complex_rejects_repeated_vertex_with_line_number():
     with pytest.raises(fr.FormatError, match="line 2"):
         fr.parse_complex("a b\nc c d\n")
+
+
+@pytest.mark.parametrize("sep", ["\x1c", "\x85", "\u2028"])
+def test_parse_complex_ends_lines_at_line_feeds_only(sep):
+    assert fr.f_vector(fr.parse_complex(f"a b{sep}c\n")) == (3, 3, 1)
+    with pytest.raises(fr.FormatError, match="line 2"):
+        fr.parse_complex(f"a b\nb{sep}b\n")
+
+
+def test_parse_complex_reads_crlf_lines():
+    assert fr.parse_complex("a b\r\nb c\r\n") == fr.parse_complex("a b\nb c\n")
 
 
 def test_parse_complex_feeds_the_homology_pipeline():

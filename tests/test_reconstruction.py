@@ -1,6 +1,7 @@
 """Decks, hypomorphism, certificates, and card-level reconstruction."""
 
 from collections import Counter
+from functools import cache
 from itertools import combinations
 
 import pytest
@@ -8,7 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flagrecon as fr
-from oracles import graphs, hub, iso_bijection, reordered, symmetric_graphs
+from flagrecon import reconstruction
+from oracles import (
+    all_decks_oracle,
+    graphs,
+    hub,
+    iso_bijection,
+    reordered,
+    symmetric_graphs,
+    unpruned_enumerate_graphs,
+)
 
 
 MANIFOLD_CORPUS = [
@@ -95,6 +105,19 @@ def test_isomorphic_graphs_are_hypomorphic():
     g = fr.cycle(6)
     h = g.relabel({str(i): str((i * 5) % 6) for i in range(6)})
     assert fr.are_hypomorphic(g, h) is not None
+
+
+@given(graphs(min_n=1, max_n=7), st.data())
+def test_hypomorphism_pairs_each_card_class_in_sorted_label_order(g, data):
+    h = reordered(g, data.draw(st.permutations(g.labels))).relabel({v: v + "'" for v in g.labels})
+    bijection = fr.are_hypomorphic(g, h)
+    d1, d2 = fr.deck(g), fr.deck(h)
+    assert sorted(bijection) == sorted(g.labels)
+    assert sorted(bijection.values()) == sorted(h.labels)
+    for card in d1.cards:
+        vs1 = sorted(v for v in g.labels if d1.matching[v] == card)
+        vs2 = sorted(v for v in h.labels if d2.matching[v] == card)
+        assert [bijection[v] for v in vs1] == vs2
 
 
 def test_distinct_decks_are_not_hypomorphic():
@@ -223,15 +246,27 @@ def test_reconstruction_rejects_cards_with_a_bad_pattern():
 # -------------------------------------------------------------- enumeration
 
 
+@cache
+def classes(n: int) -> list[fr.Graph]:
+    return fr.enumerate_graphs(n)
+
+
 def test_enumerate_graphs_class_counts():
-    assert [len(fr.enumerate_graphs(n)) for n in range(1, 6)] == [1, 2, 4, 11, 34]
+    assert [len(classes(n)) for n in range(1, 8)] == [1, 2, 4, 11, 34, 156, 1044]
 
 
 def test_enumerate_graphs_returns_distinct_classes():
-    reps = fr.enumerate_graphs(5)
-    forms = {fr.canonical_form(g) for g in reps}
-    assert len(forms) == len(reps)
-    assert all(g.vertex_count == 5 for g in reps)
+    for n in range(1, 8):
+        reps = classes(n)
+        forms = {fr.canonical_form(g) for g in reps}
+        assert len(forms) == len(reps)
+        assert all(g.vertex_count == n for g in reps)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_minimum_degree_growth_matches_the_unfiltered_growth(n):
+    got = [(g.labels, g.adj) for g in classes(n)]
+    assert got == [(g.labels, g.adj) for g in unpruned_enumerate_graphs(n)]
 
 
 def test_enumerate_graphs_bounds():
@@ -273,3 +308,70 @@ def test_oracle_finds_the_classical_two_vertex_pair():
 @pytest.mark.parametrize("n", [1, 3, 4, 5])
 def test_oracle_finds_nothing_at_other_small_orders(n):
     assert fr.brute_force_oracle(fr.enumerate_graphs(n)) == []
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_oracle_matches_all_decks_on_every_class(n):
+    assert fr.brute_force_oracle(classes(n)) == all_decks_oracle(classes(n))
+
+
+@given(graphs(min_n=1, max_n=7))
+def test_deck_invariant_is_each_cards_degrees_and_triangles(g):
+    def triangles(h):
+        return sum(
+            h.has_edge(a, b) and h.has_edge(a, c) and h.has_edge(b, c)
+            for a, b, c in combinations(h.labels, 3)
+        )
+
+    cards = [fr.vertex_deleted(g, v) for v in g.labels]
+    expected = sorted((tuple(sorted(map(c.degree, c.labels))), triangles(c)) for c in cards)
+    assert reconstruction._deck_invariant(g) == tuple(expected)
+
+
+@st.composite
+def lists_with_copies(draw):
+    """Shuffled graphs, some stored again in another order or under permuted labels.
+
+    Returns the list and the (original, copy) pairs.
+    """
+    originals = draw(st.lists(graphs(min_n=1, max_n=6), min_size=1, max_size=6))
+    pairs = []
+    for g in originals:
+        kind = draw(st.sampled_from(["none", "reordered", "relabel"]))
+        perm = draw(st.permutations(g.labels))
+        if kind == "reordered":
+            pairs.append((g, reordered(g, perm)))
+        elif kind == "relabel":
+            pairs.append((g, g.relabel(dict(zip(g.labels, perm)))))
+    items = originals + [copy for _, copy in pairs]
+    return [items[i] for i in draw(st.permutations(range(len(items))))], pairs
+
+
+@given(lists_with_copies())
+def test_oracle_matches_all_decks_and_groups_every_copy(data):
+    items, pairs = data
+    groups = fr.brute_force_oracle(items)
+    assert groups == all_decks_oracle(items)
+    for g, copy in pairs:
+        assert any(any(x is g for x in grp) and any(x is copy for x in grp) for grp in groups)
+
+
+def test_order_seven_scan_labels_no_card(monkeypatch):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(g):
+            calls[name] += 1
+            return fn(g)
+
+        return wrapper
+
+    monkeypatch.setattr(reconstruction, "canonical_form", counted("canonical_form", fr.canonical_form))
+    monkeypatch.setattr(reconstruction, "deck", counted("deck", fr.deck))
+    reps = fr.enumerate_graphs(7)
+    # the one-vertex seed and 3131 grown candidates; every attachment would be 11 291
+    assert calls["canonical_form"] <= 3132
+    assert fr.brute_force_oracle(reps) == []
+    assert calls["deck"] == 0
+    assert len(fr.brute_force_oracle(fr.enumerate_graphs(2))) == 1
+    assert calls["deck"] == 2

@@ -2,8 +2,10 @@
 
 ``perfbench/tracing.py`` wraps each ``(module, name)`` of ``TRACED`` with a
 bare ``getattr``, so renaming a traced function would crash traced runs.
-The harness's own tests live under ``perfbench/``, which a bare ``pytest``
-does not collect; this test reads ``TRACED`` from the file directly.
+This test reads ``TRACED`` from the file directly, so the library's suite
+checks the names without importing the harness; the harness's own tests
+under ``perfbench/tests`` run in a bare ``pytest`` too (``testpaths`` in
+``pyproject.toml``).
 """
 
 import importlib
