@@ -7,6 +7,8 @@ rejected loudly rather than half-supported.
 
 from __future__ import annotations
 
+import re
+
 from .complexes import SimplicialComplex, build_complex
 from .graphs import Graph
 
@@ -96,21 +98,31 @@ def emit_graph6(g: Graph) -> str:
     return bytes(out).decode("ascii")
 
 
+_FOREIGN_SPACE = re.compile(r"[^\S \t\r\x0b\x0c]")  # whitespace that is not ASCII
+
+
+def _tokens(raw: str, lineno: int) -> list[str]:
+    """The tokens of one line, split at ASCII whitespace; other whitespace is an error."""
+    foreign = _FOREIGN_SPACE.search(raw)
+    if foreign:
+        raise FormatError(f"line {lineno}: whitespace {foreign.group()!r} is not a token separator")
+    return raw.split()
+
+
 def parse_edge_list(text: str) -> Graph:
     """One 'u v' pair per line; labels are free-form tokens.
 
-    Only a line feed ends a line.  Vertex order is first appearance.  Repeated
-    edges collapse silently; self-loops and malformed lines are errors that
-    name the line.
+    Only a line feed ends a line, and only ASCII whitespace separates tokens.
+    Vertex order is first appearance.  Repeated edges collapse silently;
+    self-loops and malformed lines are errors that name the line.
     """
     labels: list[str] = []
     seen: set[str] = set()
     edges: list[tuple[str, str]] = []
     for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if not line:
+        parts = _tokens(raw, lineno)
+        if not parts:
             continue
-        parts = line.split()
         if len(parts) != 2:
             raise FormatError(f"line {lineno}: expected two vertex tokens, got {len(parts)}")
         u, v = parts
@@ -127,18 +139,18 @@ def parse_edge_list(text: str) -> Graph:
 def parse_complex(text: str) -> SimplicialComplex:
     """One maximal simplex per line, as whitespace-separated vertex tokens.
 
-    Only a line feed ends a line.  The complex is the downward closure of the
-    listed faces; vertex order is first appearance.  A repeated vertex inside
-    a line is an error naming the line.
+    Only a line feed ends a line, and only ASCII whitespace separates tokens.
+    The complex is the downward closure of the listed faces; vertex order is
+    first appearance.  A repeated vertex inside a line is an error naming the
+    line.
     """
     labels: list[str] = []
     seen: set[str] = set()
     faces: list[list[str]] = []
     for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if not line:
+        parts = _tokens(raw, lineno)
+        if not parts:
             continue
-        parts = line.split()
         if len(set(parts)) != len(parts):
             raise FormatError(f"line {lineno}: repeated vertex in simplex")
         for w in parts:

@@ -1,9 +1,9 @@
 """Finite simple graphs: subgraph algebra, named families, exact canonical labelling.
 
 Vertex identifiers are opaque strings.  Internally a graph keeps one integer
-bitset of neighbour indices per vertex; induced subgraphs, clique search and
-partition refinement then reduce to word-level bit operations, which is fast
-enough at the dozens-of-vertices scale this library targets.
+bitset of neighbour indices per vertex; induced subgraphs and clique search
+then reduce to word-level bit operations, which is fast enough at the
+dozens-of-vertices scale this library targets.
 """
 
 from __future__ import annotations
@@ -230,30 +230,41 @@ def is_connected(g: Graph) -> bool:
 SEARCH_NODE_BUDGET = 10_000  # search nodes one labelling may visit
 
 
-def _refine(n: int, adj: Sequence[int], colors: list[int]) -> list[int]:
-    """Refine a colouring to equitability.
+def _refine(
+    nbrs: Sequence[Sequence[int]], colors: list[int]
+) -> tuple[list[int], list[list[int]]]:
+    """Refine a colouring to equitability; return it with its colour classes.
 
     Vertices are recoloured by (old colour, neighbour-colour counts) until
     stable.  New colour ids follow the sorted signature order, so the refined
     colouring is a refinement of the input order and is invariant under
-    relabelling.
+    relabelling.  Classes are recoloured one at a time, in colour order: a
+    class of one vertex takes the next colour and counts nothing, and a
+    larger class splits by its vertices' count vectors, which are indexed
+    by colour (a colour -1 counts towards the highest colour).
     """
+    cells = _cells_of(colors)
     while True:
         ncol = max(colors) + 1
-        sigs: list[tuple[int, tuple[int, ...]]] = []
-        for v in range(n):
-            counts = [0] * ncol
-            rest = adj[v]
-            while rest:
-                low = rest & -rest
-                counts[colors[low.bit_length() - 1]] += 1
-                rest ^= low
-            sigs.append((colors[v], tuple(counts)))
-        rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        refined = [rank[s] for s in sigs]
+        split: list[list[int]] = []
+        for cell in cells:
+            if len(cell) == 1:
+                split.append(cell)
+                continue
+            by_counts: dict[tuple[int, ...], list[int]] = {}
+            for v in cell:
+                counts = [0] * ncol
+                for u in nbrs[v]:
+                    counts[colors[u]] += 1
+                by_counts.setdefault(tuple(counts), []).append(v)
+            split += [by_counts[s] for s in sorted(by_counts)]
+        refined = colors[:]
+        for c, cell in enumerate(split):
+            for v in cell:
+                refined[v] = c
         if refined == colors:
-            return colors
-        colors = refined
+            return colors, cells
+        colors, cells = refined, split
 
 
 def _cells_of(colors: Sequence[int]) -> list[list[int]]:
@@ -281,23 +292,25 @@ def _is_homogeneous(adj: Sequence[int], cells: list[list[int]]) -> bool:
     return True
 
 
-def _certificate(n: int, adj: Sequence[int], order: Sequence[int]) -> bytes:
-    """Pack the upper-triangle adjacency bits of ``order`` column by column."""
+def _certificate(nbrs: Sequence[Sequence[int]], order: Sequence[int]) -> bytes:
+    """Pack the upper-triangle adjacency bits of ``order`` column by column.
+
+    Column j holds one bit per earlier position i, the first one highest;
+    the columns are concatenated and the last byte is padded with zeros.
+    """
+    n = len(order)
+    at = [0] * n
+    for i, v in enumerate(order):
+        at[v] = i
     acc = 0
-    nbits = 0
-    out = bytearray()
     for j in range(1, n):
-        row = adj[order[j]]
-        for i in range(j):
-            acc = acc << 1 | (row >> order[i] & 1)
-            nbits += 1
-            if nbits == 8:
-                out.append(acc)
-                acc = 0
-                nbits = 0
-    if nbits:
-        out.append(acc << (8 - nbits))
-    return bytes(out)
+        col = 0
+        for u in nbrs[order[j]]:
+            if at[u] < j:
+                col |= 1 << (j - 1 - at[u])
+        acc = acc << j | col
+    nbits = n * (n - 1) // 2
+    return (acc << (-nbits % 8)).to_bytes((nbits + 7) // 8, "big")
 
 
 def _orbit_roots(n: int, perms: Iterable[Sequence[int]]) -> list[int]:
@@ -319,6 +332,7 @@ def _search(g: Graph) -> tuple[bytes, list[list[int]]]:
     """Least certificate body of ``g``, and the automorphisms recorded on the way."""
     n = g.vertex_count
     adj = g.adj
+    nbrs = [list(iter_bits(row)) for row in adj]
     best: bytes | None = None
     best_order: list[int] = []
     autos: list[list[int]] = []
@@ -330,11 +344,10 @@ def _search(g: Graph) -> tuple[bytes, list[list[int]]]:
         if nodes > SEARCH_NODE_BUDGET:
             raise ValueError(f"canonical labelling of a {n}-vertex graph "
                              f"exceeded {SEARCH_NODE_BUDGET} search nodes")
-        colors = _refine(n, adj, colors)
-        cells = _cells_of(colors)
+        colors, cells = _refine(nbrs, colors)
         if len(cells) == n or _is_homogeneous(adj, cells):
             order = [v for cell in cells for v in cell]
-            cert = _certificate(n, adj, order)
+            cert = _certificate(nbrs, order)
             if best is None or cert < best:
                 best, best_order = cert, order
             elif cert == best:

@@ -46,15 +46,6 @@ class IntegerMatrix:
         if any(len(r) != self.cols for r in self.entries):
             raise ValueError("column count mismatch")
 
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[int]], cols: int | None = None) -> "IntegerMatrix":
-        data = tuple(tuple(int(x) for x in r) for r in rows)
-        if cols is None:
-            if not data:
-                raise ValueError("column count required for empty matrices")
-            cols = len(data[0])
-        return cls(len(data), cols, data)
-
     def __getitem__(self, ij: tuple[int, int]) -> int:
         return self.entries[ij[0]][ij[1]]
 
@@ -149,20 +140,14 @@ def _eliminate_units(rows: list[dict[int, int]], cols: int) -> tuple[int, Intege
 
 @dataclass(frozen=True)
 class SmithNormalForm:
-    """Diagonal form D with invariant factors d_1 | d_2 | ... | d_r.
-
-    When transforms are requested, ``row_transform @ m @ col_transform == D``
-    with both transforms unimodular.
-    """
+    """Diagonal form D with invariant factors d_1 | d_2 | ... | d_r."""
 
     matrix: IntegerMatrix
     rank: int
     invariant_factors: tuple[int, ...]
-    row_transform: IntegerMatrix | None = None
-    col_transform: IntegerMatrix | None = None
 
 
-def smith_normal_form(m: IntegerMatrix, with_transforms: bool = False) -> SmithNormalForm:
+def smith_normal_form(m: IntegerMatrix) -> SmithNormalForm:
     """Diagonalise ``m`` over Z by unimodular row and column operations.
 
     Pivots are always the smallest nonzero magnitude in the trailing block,
@@ -173,42 +158,6 @@ def smith_normal_form(m: IntegerMatrix, with_transforms: bool = False) -> SmithN
     """
     nrow, ncol = m.rows, m.cols
     a = [list(row) for row in m.entries]
-    u = [[int(i == j) for j in range(nrow)] for i in range(nrow)] if with_transforms else None
-    v = [[int(i == j) for j in range(ncol)] for i in range(ncol)] if with_transforms else None
-
-    def swap_rows(i: int, j: int) -> None:
-        a[i], a[j] = a[j], a[i]
-        if u is not None:
-            u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i: int, j: int) -> None:
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        if v is not None:
-            for row in v:
-                row[i], row[j] = row[j], row[i]
-
-    def add_row(dst: int, src: int, factor: int) -> None:
-        arow, srow = a[dst], a[src]
-        for j in range(ncol):
-            arow[j] += factor * srow[j]
-        if u is not None:
-            urow, usrow = u[dst], u[src]
-            for j in range(nrow):
-                urow[j] += factor * usrow[j]
-
-    def add_col(dst: int, src: int, factor: int) -> None:
-        for row in a:
-            row[dst] += factor * row[src]
-        if v is not None:
-            for row in v:
-                row[dst] += factor * row[src]
-
-    def negate_row(i: int) -> None:
-        a[i] = [-x for x in a[i]]
-        if u is not None:
-            u[i] = [-x for x in u[i]]
-
     for s in range(min(nrow, ncol)):
         while True:
             # smallest nonzero magnitude in the trailing block becomes the
@@ -225,55 +174,43 @@ def smith_normal_form(m: IntegerMatrix, with_transforms: bool = False) -> SmithN
             if pv == 0:
                 break
             if pi != s:
-                swap_rows(pi, s)
+                a[pi], a[s] = a[s], a[pi]
             if pj != s:
-                swap_cols(pj, s)
+                for row in a:
+                    row[pj], row[s] = row[s], row[pj]
             if a[s][s] < 0:
-                negate_row(s)
+                a[s] = [-x for x in a[s]]
             dirty = False
             for i in range(s + 1, nrow):
                 if a[i][s]:
                     q = a[i][s] // a[s][s]
                     if q:
-                        add_row(i, s, -q)
+                        a[i] = [x - q * y for x, y in zip(a[i], a[s])]
                     if a[i][s]:
                         dirty = True
             for j in range(s + 1, ncol):
                 if a[s][j]:
                     q = a[s][j] // a[s][s]
                     if q:
-                        add_col(j, s, -q)
+                        for row in a:
+                            row[j] -= q * row[s]
                     if a[s][j]:
                         dirty = True
             if dirty:
                 continue
             # row and column are clean; force divisibility into the block
             d = a[s][s]
-            offender = -1
-            for i in range(s + 1, nrow):
-                if any(x % d for x in a[i][s + 1 :]):
-                    offender = i
-                    break
+            offender = next(
+                (i for i in range(s + 1, nrow) if any(x % d for x in a[i][s + 1 :])), -1
+            )
             if offender < 0:
                 break
-            add_row(s, offender, 1)
+            a[s] = [x + y for x, y in zip(a[s], a[offender])]
 
-    diag = []
-    for i in range(min(nrow, ncol)):
-        if a[i][i]:
-            diag.append(a[i][i])
-    entries = tuple(tuple(row) for row in a)
-    result = IntegerMatrix(nrow, ncol, entries)
-    factors = tuple(diag)
+    factors = tuple(a[i][i] for i in range(min(nrow, ncol)) if a[i][i])
     for x, y in zip(factors, factors[1:]):
         assert y % x == 0, "invariant factors must form a divisibility chain"
-    return SmithNormalForm(
-        result,
-        len(factors),
-        factors,
-        IntegerMatrix(nrow, nrow, tuple(tuple(r) for r in u)) if u is not None else None,
-        IntegerMatrix(ncol, ncol, tuple(tuple(r) for r in v)) if v is not None else None,
-    )
+    return SmithNormalForm(IntegerMatrix(nrow, ncol, tuple(map(tuple, a))), len(factors), factors)
 
 
 # ---------------------------------------------------------------------------
@@ -364,29 +301,45 @@ class GradedGroups:
 # ---------------------------------------------------------------------------
 
 
+def components(vertices: Iterable[str], edges: Iterable[tuple[str, str]]) -> tuple[int, int, int]:
+    """Vertex, edge and component counts of a graph, by union-find."""
+    root = {v: v for v in vertices}
+    e = 0
+    for e, (a, b) in enumerate(edges, 1):
+        while root[a] != a or root[b] != b:  # up to both roots, halving the paths
+            root[a] = a = root[root[a]]
+            root[b] = b = root[root[b]]
+        root[a] = b
+    return len(root), e, sum(v == r for v, r in root.items())
+
+
+def graph_homology(v: int, e: int, c: int) -> GradedGroups:
+    """Reduced homology of a complex of dimension <= 1 with v vertices, e edges, c components.
+
+    H~[0] = Z^(c-1), H~[1] = Z^(e-v+c), no torsion; degree 1 is stored only
+    when there is an edge.  With no vertex this is the empty complex, whose
+    only group is Z in degree -1.
+    """
+    if not v:
+        return GradedGroups({-1: INTEGERS})
+    cycles = {1: AbelianGroup(e - v + c)} if e else {}
+    return GradedGroups({-1: TRIVIAL_GROUP, 0: AbelianGroup(c - 1), **cycles})
+
+
 @lru_cache(maxsize=1 << 15)
 def reduced_homology(L: SimplicialComplex) -> GradedGroups:
     """Reduced integral homology in every degree -1 .. dim(L).
 
     The augmented chain complex is used, so the empty complex reports Z in
-    degree -1.  Up to dimension 1, union-find counts the c components:
-    H~[0] = Z^(c-1), H~[1] = Z^(E-V+c), no torsion.  Above it each boundary
-    operator loses its +-1 pivots to sparse elimination first; the Smith
-    normal form of the residual block adds the remaining rank and torsion.
+    degree -1.  Up to dimension 1 union-find counts the components and
+    :func:`graph_homology` reads the groups off the counts.  Above it each
+    boundary operator loses its +-1 pivots to sparse elimination first; the
+    Smith normal form of the residual block adds the remaining rank and
+    torsion.
     """
     dim = L.dimension
-    if dim == -1:
-        return GradedGroups({-1: INTEGERS})
     if dim <= 1:
-        root = {v: v for v in L.labels}  # union-find over the edges
-        for a, b in L.faces(1):
-            while root[a] != a or root[b] != b:  # up to both roots, halving the paths
-                root[a] = a = root[root[a]]
-                root[b] = b = root[root[b]]
-            root[a] = b
-        c = sum(v == r for v, r in root.items())
-        cycles = {1: AbelianGroup(len(L.faces(1)) - len(root) + c)} if dim else {}
-        return GradedGroups({-1: TRIVIAL_GROUP, 0: AbelianGroup(c - 1), **cycles})
+        return graph_homology(*components(L.labels, L.faces(1)))
     f = [len(level) for level in L.simplices]
     ranks, torsion = [], []
     for k in range(dim + 2):

@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .complexes import Simplex, SimplicialComplex, links
-from .homology import INTEGERS, AbelianGroup, GradedGroups, local_homology, reduced_homology
+from .homology import INTEGERS, GradedGroups, components, graph_homology, local_homology
+from .homology import reduced_homology
 
 __all__ = [
     "sphere_homology",
@@ -156,7 +157,9 @@ def boundary_of(L: SimplicialComplex, n: int) -> frozenset[str]:
     Interior vertices of a homology n-manifold have vertex links with the
     homology of the (n-1)-sphere; boundary vertices have homologically
     trivial links.  Anything else raises :class:`BoundaryPatternError`.
-    Requires a pure n-dimensional complex.
+    Requires a pure n-dimensional complex.  Up to dimension 2 each vertex
+    link is a graph, read straight off L's edges and triangles; above it
+    the links are built in one pass.
     """
     if L.dimension == -1:
         raise ValueError("the empty complex has no boundary")
@@ -164,12 +167,28 @@ def boundary_of(L: SimplicialComplex, n: int) -> frozenset[str]:
         raise ValueError("manifold dimension must be nonnegative")
     if not is_pure(L, n):
         raise ValueError(f"complex is not pure of dimension {n}")
-    interior = sphere_homology(n - 1)
+    interior = sphere_homology(n - 1).nontrivial()
+    if n <= 2:
+        link_vertices: dict[str, list[str]] = {v: [] for v in L.labels}
+        for a, b in L.faces(1):
+            link_vertices[a].append(b)
+            link_vertices[b].append(a)
+        link_edges: dict[str, list[Simplex]] = {v: [] for v in L.labels}
+        for a, b, c in L.faces(2):
+            link_edges[a].append((b, c))
+            link_edges[b].append((a, c))
+            link_edges[c].append((a, b))
+        shapes = [components(link_vertices[v], link_edges[v]) for v in L.labels]
+        groups = {s: graph_homology(*s) for s in set(shapes)}
+        hs = [groups[s] for s in shapes]
+    else:
+        hs = map(reduced_homology, links(L, 0))
     out = []
-    for v, h in zip(L.labels, map(reduced_homology, links(L, 0))):
-        if h == interior:
+    for v, h in zip(L.labels, hs):
+        local = h.nontrivial()
+        if local == interior:
             continue
-        if h.is_trivial_everywhere:
+        if not local:
             out.append(v)
         else:
             raise BoundaryPatternError(v, h.shifted(1), n)

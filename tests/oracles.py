@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from flagrecon import (
     INTEGERS,
     AbelianGroup,
+    BoundaryPatternError,
     Graph,
     GradedGroups,
     IntegerMatrix,
@@ -37,12 +38,16 @@ from flagrecon import (
     clique_complex,
     deck,
     graph_from_canonical_form,
+    is_pure,
+    links,
+    reduced_homology,
     smith_normal_form,
+    sphere_homology,
     torus_grid,
 )
 from flagrecon import complete as complete_graph
 from flagrecon.coxeter import Condition3Result, Condition3Witness, spherical_subsets
-from flagrecon.graphs import _cells_of, _certificate, _is_homogeneous, _refine
+from flagrecon.graphs import _cells_of, _is_homogeneous
 
 
 def graph_on(labels: list[str], mask: int) -> Graph:
@@ -163,12 +168,62 @@ def iso_bijection(g1: Graph, g2: Graph) -> dict[str, str] | None:
     return None
 
 
+def dense_refine(n: int, adj, colors: list[int]) -> list[int]:
+    """Refine a colouring to equitability, recounting every vertex every round.
+
+    The library's former refinement: each round gives every vertex the
+    signature (old colour, neighbour counts per colour), with a vector as
+    long as the number of colours, and renumbers by sorted signature until
+    the colouring is stable.  A colour -1 counts towards the highest colour,
+    as ``counts[-1]`` does.
+    """
+    while True:
+        ncol = max(colors) + 1
+        sigs: list[tuple[int, tuple[int, ...]]] = []
+        for v in range(n):
+            counts = [0] * ncol
+            rest = adj[v]
+            while rest:
+                low = rest & -rest
+                counts[colors[low.bit_length() - 1]] += 1
+                rest ^= low
+            sigs.append((colors[v], tuple(counts)))
+        rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        refined = [rank[s] for s in sigs]
+        if refined == colors:
+            return colors
+        colors = refined
+
+
+def packed_certificate(n: int, adj, order) -> bytes:
+    """The upper-triangle adjacency bits of ``order``, column by column, bit by bit.
+
+    The library's former packing, which reads every vertex pair.
+    """
+    acc = 0
+    nbits = 0
+    out = bytearray()
+    for j in range(1, n):
+        row = adj[order[j]]
+        for i in range(j):
+            acc = acc << 1 | (row >> order[i] & 1)
+            nbits += 1
+            if nbits == 8:
+                out.append(acc)
+                acc = 0
+                nbits = 0
+    if nbits:
+        out.append(acc << (8 - nbits))
+    return bytes(out)
+
+
 def unpruned_canonical_form(g: Graph) -> bytes:
     """Canonical certificate by the full individualisation-refinement search.
 
     The search the library ran before automorphism pruning: it visits every
-    branch, so it sees at least |Aut(g)| leaves.  The pruned search must
-    return the same bytes.
+    branch, so it sees at least |Aut(g)| leaves, and it refines with
+    :func:`dense_refine` and packs with :func:`packed_certificate`.  The
+    pruned search must return the same bytes.
     """
     n = g.vertex_count
     if n == 0:
@@ -178,11 +233,11 @@ def unpruned_canonical_form(g: Graph) -> bytes:
 
     def visit(colors: list[int]) -> None:
         nonlocal best
-        colors = _refine(n, adj, colors)
+        colors = dense_refine(n, adj, colors)
         cells = _cells_of(colors)
         if len(cells) == n or _is_homogeneous(adj, cells):
             order = [v for cell in cells for v in cell]
-            cert = _certificate(n, adj, order)
+            cert = packed_certificate(n, adj, order)
             if best is None or cert < best:
                 best = cert
             return
@@ -260,6 +315,50 @@ def brute_maximal_cliques(g: Graph) -> list[frozenset[str]]:
             break
         cliques += found
     return [c for c in cliques if not any(c < d for d in cliques)]
+
+
+def subdivided(g: Graph, steps: int, seed: int) -> Graph:
+    """``g`` after ``steps`` stellar edge subdivisions at seeded edges.
+
+    The new vertex joins both ends of the edge and their common neighbours,
+    and the edge goes.  On a flag complex that keeps it flag and keeps its
+    PL type (Lutz-Nevo 2016).
+    """
+    rng = random.Random(seed)
+    adj = {v: set(g.neighbors(v)) for v in g.labels}
+    for k in range(steps):
+        u, v = rng.choice(sorted((a, b) for a in adj for b in adj[a] if a < b))
+        w = f"s{k}"
+        adj[w] = (adj[u] & adj[v]) | {u, v}
+        adj[u].discard(v)
+        adj[v].discard(u)
+        for x in adj[w]:
+            adj[x].add(w)
+    return Graph.from_edges(list(adj), [(a, b) for a in adj for b in adj[a] if a < b])
+
+
+def links_boundary_of(L: SimplicialComplex, n: int) -> frozenset[str]:
+    """``boundary_of`` over built vertex links, in every dimension.
+
+    The library's former route: ``links(L, 0)`` builds every vertex link,
+    and ``reduced_homology`` computes each one.
+    """
+    if L.dimension == -1:
+        raise ValueError("the empty complex has no boundary")
+    if n < 0:
+        raise ValueError("manifold dimension must be nonnegative")
+    if not is_pure(L, n):
+        raise ValueError(f"complex is not pure of dimension {n}")
+    interior = sphere_homology(n - 1)
+    out = []
+    for v, h in zip(L.labels, map(reduced_homology, links(L, 0))):
+        if h == interior:
+            continue
+        if h.is_trivial_everywhere:
+            out.append(v)
+        else:
+            raise BoundaryPatternError(v, h.shifted(1), n)
+    return frozenset(out)
 
 
 def reclosed_full_subcomplex(L: SimplicialComplex, t) -> SimplicialComplex:
@@ -357,6 +456,75 @@ def rational_betti(L: SimplicialComplex) -> dict[int, int]:
     for k in range(dim + 1):
         betti[k] = len(L.simplices[k]) - ranks[k] - ranks[k + 1]
     return {k: b for k, b in betti.items() if b}
+
+
+def matrix_from_rows(rows, cols: int | None = None) -> IntegerMatrix:
+    """An ``IntegerMatrix`` from nested rows; ``cols`` is needed only with no row."""
+    data = tuple(tuple(int(x) for x in r) for r in rows)
+    if cols is None:
+        if not data:
+            raise ValueError("column count required for empty matrices")
+        cols = len(data[0])
+    return IntegerMatrix(len(data), cols, data)
+
+
+def smith_transforms(m: IntegerMatrix) -> tuple[IntegerMatrix, IntegerMatrix]:
+    """Unimodular U and V with U m V diagonal, the diagonal a divisibility chain.
+
+    The library's pivot rule, smallest nonzero magnitude first, with every
+    row operation recorded in U and every column operation in V.  The
+    library's ``smith_normal_form`` keeps no transforms.
+    """
+    nrow, ncol = m.rows, m.cols
+    a = [list(row) for row in m.entries]
+    u = [[int(i == j) for j in range(nrow)] for i in range(nrow)]
+    v = [[int(i == j) for j in range(ncol)] for i in range(ncol)]
+
+    def add_row(dst: int, src: int, factor: int) -> None:
+        for rows in (a, u):
+            rows[dst] = [x + factor * y for x, y in zip(rows[dst], rows[src])]
+
+    def add_col(dst: int, src: int, factor: int) -> None:
+        for rows in (a, v):
+            for row in rows:
+                row[dst] += factor * row[src]
+
+    for s in range(min(nrow, ncol)):
+        while True:
+            pv, pi, pj = min(
+                ((abs(a[i][j]), i, j) for i in range(s, nrow) for j in range(s, ncol) if a[i][j]),
+                default=(0, -1, -1),
+            )
+            if pv == 0:
+                break
+            for rows in (a, u):
+                rows[pi], rows[s] = rows[s], rows[pi]
+            for rows in (a, v):
+                for row in rows:
+                    row[pj], row[s] = row[s], row[pj]
+            if a[s][s] < 0:
+                for rows in (a, u):
+                    rows[s] = [-x for x in rows[s]]
+            dirty = False
+            for i in range(s + 1, nrow):
+                add_row(i, s, -(a[i][s] // a[s][s]))
+                dirty = dirty or a[i][s] != 0
+            for j in range(s + 1, ncol):
+                add_col(j, s, -(a[s][j] // a[s][s]))
+                dirty = dirty or a[s][j] != 0
+            if dirty:
+                continue
+            d = a[s][s]
+            offender = next(
+                (i for i in range(s + 1, nrow) if any(x % d for x in a[i][s + 1 :])), -1
+            )
+            if offender < 0:
+                break
+            add_row(s, offender, 1)
+    return (
+        IntegerMatrix(nrow, nrow, tuple(map(tuple, u))),
+        IntegerMatrix(ncol, ncol, tuple(map(tuple, v))),
+    )
 
 
 def identity_matrix(n: int) -> IntegerMatrix:

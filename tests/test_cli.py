@@ -2,6 +2,8 @@
 
 import io
 import json
+import random
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -117,6 +119,29 @@ class TestDeck:
         code, out, err = run(monkeypatch, capsys, ["deck"], stdin="E]~o")
         assert code == 2
         assert err.startswith("error: canonical labelling of a 6-vertex graph")
+
+
+def pinned_decks():
+    """(graph6 input, deck output) pairs from ``golden/decks.txt``: the
+    deck_roundtrip benchmark graphs of seeds 1, 2, 3 and 7, and every graph
+    on at most 6 vertices."""
+    blocks = (Path(__file__).parent / "golden" / "decks.txt").read_text().split("\n>")[1:]
+    return [(text, deck.rstrip("\n") + "\n") for text, deck in (b.split("\n", 1) for b in blocks)]
+
+
+def test_deck_output_is_pinned(monkeypatch, capsys):
+    pinned = pinned_decks()
+    assert len(pinned) == 226
+    rng = random.Random(12)
+    for text, expected in pinned:
+        code, out, err = run(monkeypatch, capsys, ["deck"], stdin=text)
+        assert (code, out, err) == (0, expected, ""), text
+        g = fr.parse_graph6(text)
+        if g.vertex_count <= 6:  # the deck is a canonical multiset: any vertex order gives it
+            order = list(g.labels)
+            rng.shuffle(order)
+            shuffled = fr.emit_graph6(fr.Graph.from_edges(order, g.edges()))
+            assert run(monkeypatch, capsys, ["deck"], stdin=shuffled)[1] == expected, text
 
 
 class TestReconstruct:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 
 import flagrecon as fr
+from flagrecon.cli import main
 from oracles import graphs, small_corpus
 
 
@@ -132,14 +133,35 @@ def test_parse_edge_list_rejects_wrong_token_count():
 
 @pytest.mark.parametrize("sep", ["\x1c", "\x1d", "\x1e", "\x85", "\u2028"])
 def test_parse_edge_list_ends_lines_at_line_feeds_only(sep):
-    with pytest.raises(fr.FormatError, match="line 1: expected two vertex tokens, got 4"):
+    with pytest.raises(fr.FormatError, match="line 1: whitespace"):
         fr.parse_edge_list(f"0 1{sep}2 3")
-    with pytest.raises(fr.FormatError, match="line 2: expected two vertex tokens, got 3"):
+    with pytest.raises(fr.FormatError, match="line 2: whitespace"):
         fr.parse_edge_list(f"0 1\n2{sep}3 4\n")
 
 
-def test_parse_edge_list_reads_a_separator_between_tokens_as_whitespace():
-    assert fr.parse_edge_list("0\x1c1") == fr.parse_edge_list("0 1")
+def test_parse_edge_list_rejects_a_separator_between_tokens():
+    with pytest.raises(fr.FormatError, match=r"line 1: whitespace '\\x1c' is not a token"):
+        fr.parse_edge_list("0\x1c1")
+
+
+NON_ASCII_WHITESPACE = ["\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u2028", "\xa0"]
+
+
+@pytest.mark.parametrize("sep", NON_ASCII_WHITESPACE)
+@pytest.mark.parametrize("parse", [fr.parse_edge_list, fr.parse_complex])
+def test_only_ascii_whitespace_separates_tokens(parse, sep):
+    for text, line in [(f"0{sep}1", 1), (f"0 1\n1 2{sep}\n", 2), (f"0 1\r\n{sep}1 2\r\n", 2)]:
+        with pytest.raises(fr.FormatError, match=f"line {line}: whitespace"):
+            parse(text)
+    assert parse("0\t1\x0b\r\n1\x0c2 \r\n") == parse("0 1\n1 2\n")
+
+
+@pytest.mark.parametrize("sep", NON_ASCII_WHITESPACE)
+def test_edge_list_with_non_ascii_whitespace_exits_two(tmp_path, capsys, sep):
+    f = tmp_path / "bad.edges"
+    f.write_text(f"0 1\n1{sep}2\n", encoding="utf-8")
+    assert main(["analyze", "--format", "edges", str(f)]) == 2
+    assert capsys.readouterr().err.startswith("error: line 2: whitespace")
 
 
 def test_parse_edge_list_reads_crlf_lines():
@@ -174,7 +196,8 @@ def test_parse_complex_rejects_repeated_vertex_with_line_number():
 
 @pytest.mark.parametrize("sep", ["\x1c", "\x85", "\u2028"])
 def test_parse_complex_ends_lines_at_line_feeds_only(sep):
-    assert fr.f_vector(fr.parse_complex(f"a b{sep}c\n")) == (3, 3, 1)
+    with pytest.raises(fr.FormatError, match="line 1: whitespace"):
+        fr.parse_complex(f"a b{sep}c\n")
     with pytest.raises(fr.FormatError, match="line 2"):
         fr.parse_complex(f"a b\nb{sep}b\n")
 

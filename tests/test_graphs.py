@@ -3,17 +3,21 @@
 import random
 from collections import defaultdict
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flagrecon as fr
+from flagrecon.graphs import _cells_of, _certificate, _refine, _search, iter_bits
 from oracles import (
+    dense_refine,
     graph_on,
     graphs,
     hub,
     iso_bijection,
+    packed_certificate,
     reordered,
     small_corpus,
     suffixed,
@@ -329,6 +333,68 @@ def test_pruning_uses_only_automorphisms_fixing_the_prefix(swapped):
         rng.shuffle(order)
         certs.add(fr.canonical_form(reordered(g, order)))
     assert len(certs) == 1
+
+
+# ------------------------------------------- cell-wise refinement vs. oracle
+
+
+@st.composite
+def branched_colourings(draw):
+    """A graph with a colouring shaped like the ones branching makes.
+
+    Colours are doubled, which leaves gaps, and one vertex may then drop by
+    one: the individualised vertex, at -1 when its colour was 0.
+    """
+    g = draw(st.one_of(graphs(), symmetric_graphs()))
+    n = g.vertex_count
+    colors = [2 * c for c in draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))]
+    if draw(st.booleans()):
+        colors[draw(st.integers(0, n - 1))] -= 1
+    return g, colors
+
+
+def neighbour_lists(g):
+    return [list(iter_bits(row)) for row in g.adj]
+
+
+@settings(max_examples=200)
+@given(branched_colourings())
+def test_cellwise_refinement_matches_the_dense_oracle(case):
+    g, colors = case
+    expected = dense_refine(g.vertex_count, g.adj, colors)
+    assert _refine(neighbour_lists(g), colors) == (expected, _cells_of(expected))
+
+
+def test_colour_minus_one_counts_towards_the_highest_colour():
+    # on the 4-cycle 0-1-2-3 with vertex 0 individualised at -1, the first
+    # round leaves the other three alike, since each counts -1 and 0 as one
+    # colour; the second round splits off vertex 2, opposite vertex 0
+    g = fr.cycle(4)
+    colors = [-1, 0, 0, 0]
+    refined = dense_refine(4, g.adj, colors)
+    assert refined == [0, 2, 1, 2]
+    assert _refine(neighbour_lists(g), colors) == (refined, [[0], [2], [1, 3]])
+
+
+@settings(max_examples=40)
+@given(st.one_of(graphs(), symmetric_graphs()))
+def test_search_with_the_dense_oracle_finds_the_same_labelling_and_orbits(g):
+    def dense(nbrs, colors):
+        adj = [sum(1 << u for u in row) for row in nbrs]
+        refined = dense_refine(len(nbrs), adj, colors)
+        return refined, _cells_of(refined)
+
+    cert, autos = _search(g)
+    with mock.patch.object(fr.graphs, "_refine", dense):
+        assert _search(g) == (cert, autos)
+
+
+@given(graphs(), st.randoms(use_true_random=False))
+def test_certificate_packing_matches_the_bitwise_oracle(g, rng):
+    order = list(range(g.vertex_count))
+    rng.shuffle(order)
+    expected = packed_certificate(g.vertex_count, g.adj, order)
+    assert _certificate(neighbour_lists(g), order) == expected
 
 
 # ------------------------------------------------------------ vertex orbits

@@ -1,9 +1,13 @@
 """Homology manifold detection, sphere checks, and boundary extraction."""
 
+from itertools import combinations
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import flagrecon as fr
-from oracles import hub, small_corpus
+from oracles import hub, links_boundary_of, projective_plane, small_corpus, subdivided, suffixed
 
 
 def bowtie():
@@ -214,3 +218,92 @@ def test_boundary_rejects_empty_and_negative():
         fr.boundary_of(fr.clique_complex(fr.Graph((), ())), 1)
     with pytest.raises(ValueError):
         fr.boundary_of(fr.clique_complex(fr.cycle(4)), -1)
+
+
+# ------------------------------------------------- rims vs. the links oracle
+
+
+def rim(boundary, L, n):
+    """The boundary; or the vertex, groups and message of a pattern error; or a refusal."""
+    try:
+        return boundary(L, n)
+    except fr.BoundaryPatternError as exc:
+        return exc.vertex, exc.local_homology, str(exc)
+    except ValueError as exc:
+        return str(exc)
+
+
+def cards(g):
+    return [fr.vertex_deleted(g, orbit[0]) for orbit in fr.vertex_orbits(g)]
+
+
+def torus7():
+    """The 7-vertex Moebius torus, which is not flag."""
+    faces = [(i, (i + 1) % 7, (i + 3) % 7) for i in range(7)]
+    faces += [(i, (i + 2) % 7, (i + 3) % 7) for i in range(7)]
+    return "\n".join(" ".join(map(str, f)) for f in faces)
+
+
+def without_last_face(text):
+    return text.rsplit("\n", 1)[0]
+
+
+RP2 = "\n".join(" ".join(s) for s in projective_plane().faces(2))
+HOLLOW_TETRAHEDRON = "a b c\na b d\na c d\nb c d"
+FLAG_RIMS = (
+    [(fr.clique_complex(c), 2) for c in cards(fr.torus_grid(4, 4)) + cards(fr.torus_grid(5, 6))]
+    + [(fr.clique_complex(c), 2) for c in cards(subdivided(fr.cross_polytope(3), 3, 1))]
+    + [(fr.clique_complex(c), 2) for c in cards(subdivided(fr.cross_polytope(3), 3, 2))]
+    + [(fr.clique_complex(c), 2) for c in cards(subdivided(fr.torus_grid(4, 4), 4, 3))]
+    + [(fr.clique_complex(c), 2) for c in cards(fr.icosahedron())]
+    + [(fr.clique_complex(c), 3) for c in cards(subdivided(fr.cross_polytope(4), 2, 4))]
+    + [(fr.clique_complex(wheel()), 2), (fr.clique_complex(bowtie()), 2)]
+    + [(fr.clique_complex(fr.path(k)), 1) for k in (2, 3, 5)]
+    + [(fr.clique_complex(fr.path(1)), 0), (fr.clique_complex(fr.cycle(6)), 1)]
+    + [(fr.clique_complex(fr.disjoint_union(fr.cross_polytope(3), suffixed(wheel(), "'"))), 2)]
+)
+NONFLAG_RIMS = [
+    ("a b\nb c\na c", 1),  # hollow triangle
+    (HOLLOW_TETRAHEDRON, 2),
+    (RP2, 2),
+    (without_last_face(RP2), 2),  # a Moebius band: the removed face's vertices are the rim
+    (torus7(), 2),
+    (without_last_face(torus7()), 2),
+    (HOLLOW_TETRAHEDRON + "\na e f\na f g\na e g\ne f g", 2),  # two spheres pinched at a
+    ("a b c\na b d\na b e", 2),  # three triangles on one edge
+    ("a\nb\nc", 0),
+    ("a b c\na b d\na c d\nb c d", 1),  # impure at dimension 1
+]
+
+
+@pytest.mark.parametrize("L,n", FLAG_RIMS)
+def test_boundary_of_flag_complexes_matches_the_links_oracle(L, n):
+    assert rim(fr.boundary_of, L, n) == rim(links_boundary_of, L, n)
+
+
+@pytest.mark.parametrize("text,n", NONFLAG_RIMS)
+def test_boundary_of_complexes_from_face_lists_matches_the_links_oracle(text, n):
+    L = fr.parse_complex(text)
+    assert rim(fr.boundary_of, L, n) == rim(links_boundary_of, L, n)
+
+
+def test_the_rim_of_a_moebius_band_is_the_removed_face():
+    removed = RP2.rsplit("\n", 1)[1].split()
+    assert fr.boundary_of(fr.parse_complex(without_last_face(RP2)), 2) == frozenset(removed)
+
+
+def test_a_pinch_of_two_spheres_is_reported_with_its_groups():
+    L = fr.parse_complex(HOLLOW_TETRAHEDRON + "\na e f\na f g\na e g\ne f g")
+    with pytest.raises(fr.BoundaryPatternError) as exc:
+        fr.boundary_of(L, 2)
+    assert exc.value.vertex == "a"
+    assert exc.value.local_homology.nontrivial() == {1: fr.AbelianGroup(1), 2: fr.AbelianGroup(2)}
+
+
+PURE_2_COMPLEXES = st.sets(st.sampled_from(list(combinations("abcdef", 3))), min_size=1)
+
+
+@given(PURE_2_COMPLEXES)
+def test_boundary_of_every_pure_2_complex_matches_the_links_oracle(faces):
+    L = fr.parse_complex("\n".join(" ".join(f) for f in sorted(faces)))
+    assert rim(fr.boundary_of, L, 2) == rim(links_boundary_of, L, 2)

@@ -184,5 +184,13 @@ def test_card_recovery_builds_one_complex(monkeypatch):
     card = fr.vertex_deleted(g, g.labels[0])
     counts = count_calls(monkeypatch, ["clique_complex", "build_complex", "link", "links"])
     assert fr.are_isomorphic(fr.reconstruct_from_card(card, 2), g)
-    # the card's nerve, and its vertex links in one pass
+    # the card's nerve; its vertex links are read off its edges and triangles
+    assert counts == {"clique_complex": 1, "build_complex": 0, "link": 0, "links": 0}
+
+
+def test_card_recovery_in_dimension_3_builds_the_vertex_links_in_one_pass(monkeypatch):
+    g = fr.cross_polytope(4)
+    card = fr.vertex_deleted(g, g.labels[0])
+    counts = count_calls(monkeypatch, ["clique_complex", "build_complex", "link", "links"])
+    assert fr.are_isomorphic(fr.reconstruct_from_card(card, 3), g)
     assert counts == {"clique_complex": 1, "build_complex": 0, "link": 0, "links": 1}
