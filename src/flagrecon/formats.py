@@ -2,7 +2,8 @@
 
 graph6 support is deliberately short-form only (up to 62 vertices): that is
 the scale the rest of the library targets, and long-form headers are
-rejected loudly rather than half-supported.
+rejected loudly rather than half-supported.  graph6 shares its bit layout
+with canonical certificates (``graphs.pack_triangle``), 6 bits to a byte.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import re
 
 from .complexes import SimplicialComplex, build_complex
-from .graphs import Graph
+from .graphs import Graph, pack_triangle, unpack_triangle
 
 __all__ = [
     "FormatError",
@@ -28,9 +29,9 @@ class FormatError(ValueError):
 def parse_graph6(text: str) -> Graph:
     """Decode one short-form graph6 line; vertices come out labelled 0..n-1.
 
-    The upper-triangle bits run column by column: (0,1), (0,2), (1,2),
-    (0,3), ...  Six bits per printable byte, offset 63; padding bits must
-    be zero.  Only ASCII whitespace is stripped; any other byte meets the checks.
+    Six bits of the upper-triangle layout per printable byte, offset 63;
+    padding bits must be zero.  Only ASCII whitespace is stripped; any
+    other byte meets the checks.
     """
     line = text.strip(" \t\n\r\x0b\x0c")
     if line.startswith(">>graph6<<"):
@@ -46,30 +47,21 @@ def parse_graph6(text: str) -> Graph:
     if not 63 <= data[0] <= 126:
         raise FormatError(f"graph6 header byte {data[0]} out of range")
     n = data[0] - 63
-    nbits = n * (n - 1) // 2
     body = data[1:]
-    expected = (nbits + 5) // 6
+    expected = (n * (n - 1) // 2 + 5) // 6
     if len(body) != expected:
         raise FormatError(
             f"graph6 body has {len(body)} byte(s), expected {expected} for {n} vertices"
         )
-    bits = []
+    packed = 0
     for ch in body:
         if not 63 <= ch <= 126:
             raise FormatError(f"graph6 byte {ch} out of range")
-        val = ch - 63
-        bits += [(val >> shift) & 1 for shift in range(5, -1, -1)]
-    if any(bits[nbits:]):
-        raise FormatError("graph6 padding bits must be zero")
-    adj = [0] * n
-    k = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[k]:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-            k += 1
-    return Graph(tuple(str(i) for i in range(n)), tuple(adj))
+        packed = packed << 6 | ch - 63
+    try:
+        return unpack_triangle(n, packed, 6)
+    except ValueError:
+        raise FormatError("graph6 padding bits must be zero") from None
 
 
 def emit_graph6(g: Graph) -> str:
@@ -81,21 +73,8 @@ def emit_graph6(g: Graph) -> str:
     n = g.vertex_count
     if n > 62:
         raise FormatError("short-form graph6 carries at most 62 vertices")
-    out = [n + 63]
-    acc = 0
-    nbits = 0
-    for j in range(1, n):
-        row = g.adj[j]
-        for i in range(j):
-            acc = acc << 1 | (row >> i & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(acc + 63)
-                acc = 0
-                nbits = 0
-    if nbits:
-        out.append((acc << (6 - nbits)) + 63)
-    return bytes(out).decode("ascii")
+    packed, m = pack_triangle(g.adj, 6), (n * (n - 1) // 2 + 5) // 6
+    return chr(n + 63) + "".join(chr(63 + (packed >> 6 * k & 63)) for k in reversed(range(m)))
 
 
 _FOREIGN_SPACE = re.compile(r"[^\S \t\r\x0b\x0c]")  # whitespace that is not ASCII

@@ -4,12 +4,16 @@ Vertex identifiers are opaque strings.  Internally a graph keeps one integer
 bitset of neighbour indices per vertex; induced subgraphs and clique search
 then reduce to word-level bit operations, which is fast enough at the
 dozens-of-vertices scale this library targets.
+
+graph6 and canonical certificates share one bit layout, coded once in
+:func:`pack_triangle` and :func:`unpack_triangle`; only the byte width
+differs.  ``canonical_form`` keeps no cache.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
@@ -292,25 +296,51 @@ def _is_homogeneous(adj: Sequence[int], cells: list[list[int]]) -> bool:
     return True
 
 
-def _certificate(nbrs: Sequence[Sequence[int]], order: Sequence[int]) -> bytes:
-    """Pack the upper-triangle adjacency bits of ``order`` column by column.
+def pack_triangle(adj: Sequence[int], width: int) -> int:
+    """The upper-triangle adjacency bits of the graph with rows ``adj``, as one int.
 
-    Column j holds one bit per earlier position i, the first one highest;
-    the columns are concatenated and the last byte is padded with zeros.
+    The bits run column by column, (0,1), (0,2), (1,2), (0,3), ..., the first
+    one highest; zero bits pad them to whole bytes of ``width`` bits.
     """
-    n = len(order)
-    at = [0] * n
-    for i, v in enumerate(order):
-        at[v] = i
-    acc = 0
-    for j in range(1, n):
-        col = 0
-        for u in nbrs[order[j]]:
-            if at[u] < j:
-                col |= 1 << (j - 1 - at[u])
-        acc = acc << j | col
+    n = len(adj)
     nbits = n * (n - 1) // 2
-    return (acc << (-nbits % 8)).to_bytes((nbits + 7) // 8, "big")
+    stream = 0  # the layout backwards: bit k holds its k-th bit
+    for j in range(n - 1, 0, -1):
+        stream = stream << j | adj[j] & ((1 << j) - 1)
+    # reverse the binary digits, then restore the zeros that led them and pad
+    return int(bin(stream)[:1:-1], 2) << (nbits - stream.bit_length() + (-nbits % width))
+
+
+def unpack_triangle(n: int, packed: int, width: int) -> Graph:
+    """The graph on vertices 0..n-1 that :func:`pack_triangle` packs to ``packed``.
+
+    Raises ``ValueError("malformed certificate")`` when a padding bit is set.
+    """
+    packed, padding = divmod(packed, 1 << (-(n * (n - 1) // 2) % width))
+    if padding:
+        raise ValueError("malformed certificate")
+    adj = [0] * n
+    for j in range(n - 1, 0, -1):  # the last column is lowest; its first row highest
+        for k in iter_bits(packed & ((1 << j) - 1)):
+            adj[j] |= 1 << (j - 1 - k)
+            adj[j - 1 - k] |= 1 << j
+        packed >>= j
+    return Graph(_range_labels(n), tuple(adj))
+
+
+def _certificate(nbrs: Sequence[Sequence[int]], order: Sequence[int]) -> bytes:
+    """The adjacency of ``order``, position i holding ``order[i]``, packed 8 bits to a byte."""
+    n = len(order)
+    bit = [0] * n
+    for i, v in enumerate(order):
+        bit[v] = 1 << i
+    rows = []
+    for v in order:
+        row = 0
+        for u in nbrs[v]:
+            row |= bit[u]
+        rows.append(row)
+    return pack_triangle(rows, 8).to_bytes((n * (n - 1) // 2 + 7) // 8, "big")
 
 
 def _orbit_roots(n: int, perms: Iterable[Sequence[int]]) -> list[int]:
@@ -371,7 +401,6 @@ def _search(g: Graph) -> tuple[bytes, list[list[int]]]:
     return best or b"", autos
 
 
-@lru_cache(maxsize=1 << 16)
 def canonical_form(g: Graph) -> bytes:
     """Canonical certificate of the isomorphism class of ``g``.
 
@@ -397,15 +426,7 @@ def graph_from_canonical_form(cert: bytes) -> Graph:
     n = int(head) if head.isdigit() else -1
     if not sep or n < 0 or len(packed) != (n * (n - 1) // 2 + 7) // 8:
         raise ValueError("malformed certificate")
-    adj = [0] * n
-    k = 0
-    for j in range(1, n):
-        for i in range(j):
-            if packed[k >> 3] >> (7 - (k & 7)) & 1:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-            k += 1
-    return Graph(tuple(str(i) for i in range(n)), tuple(adj))
+    return unpack_triangle(n, int.from_bytes(packed, "big"), 8)
 
 
 def are_isomorphic(g1: Graph, g2: Graph) -> bool:

@@ -140,9 +140,8 @@ def _eliminate_units(rows: list[dict[int, int]], cols: int) -> tuple[int, Intege
 
 @dataclass(frozen=True)
 class SmithNormalForm:
-    """Diagonal form D with invariant factors d_1 | d_2 | ... | d_r."""
+    """Rank and invariant factors d_1 | d_2 | ... | d_r of a diagonalised matrix."""
 
-    matrix: IntegerMatrix
     rank: int
     invariant_factors: tuple[int, ...]
 
@@ -210,7 +209,7 @@ def smith_normal_form(m: IntegerMatrix) -> SmithNormalForm:
     factors = tuple(a[i][i] for i in range(min(nrow, ncol)) if a[i][i])
     for x, y in zip(factors, factors[1:]):
         assert y % x == 0, "invariant factors must form a divisibility chain"
-    return SmithNormalForm(IntegerMatrix(nrow, ncol, tuple(map(tuple, a))), len(factors), factors)
+    return SmithNormalForm(len(factors), factors)
 
 
 # ---------------------------------------------------------------------------

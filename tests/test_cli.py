@@ -115,7 +115,6 @@ class TestDeck:
 
     def test_search_over_budget_exits_two(self, monkeypatch, capsys):
         monkeypatch.setattr(fr.graphs, "SEARCH_NODE_BUDGET", 3)
-        fr.canonical_form.cache_clear()
         code, out, err = run(monkeypatch, capsys, ["deck"], stdin="E]~o")
         assert code == 2
         assert err.startswith("error: canonical labelling of a 6-vertex graph")

@@ -6,7 +6,7 @@ from hypothesis import given
 
 import flagrecon as fr
 from flagrecon.cli import main
-from oracles import graphs, small_corpus
+from oracles import graphs, packed_certificate, small_corpus
 
 
 def to_networkx(g: fr.Graph) -> nx.Graph:
@@ -70,6 +70,39 @@ def test_parse_agrees_with_networkx(g):
     text = nx.to_graph6_bytes(to_networkx(g), nodes=list(g.labels), header=False)
     parsed = fr.parse_graph6(text.decode())
     assert parsed.adj == g.adj
+
+
+def layout_bits(data: bytes, width: int, offset: int, nbits: int) -> str:
+    """The first ``nbits`` bits of ``data`` read ``width`` bits to a byte, after zero padding."""
+    bits = "".join(f"{b - offset:0{width}b}" for b in data)
+    assert 0 <= len(bits) - nbits < width and set(bits[nbits:]) <= {"0"}
+    return bits[:nbits]
+
+
+def check_shared_layout(g: fr.Graph) -> None:
+    """graph6 and certificates carry one bit stream, checked against the bitwise oracle."""
+    n = g.vertex_count
+    nbits = n * (n - 1) // 2
+    text = fr.emit_graph6(g)
+    assert fr.parse_graph6(text).adj == g.adj
+    oracle = packed_certificate(n, g.adj, range(n))
+    assert layout_bits(text[1:].encode(), 6, 63, nbits) == layout_bits(oracle, 8, 0, nbits)
+    cert = fr.canonical_form(g)
+    body = cert.partition(b":")[2]
+    rep = fr.emit_graph6(fr.graph_from_canonical_form(cert))
+    assert layout_bits(rep[1:].encode(), 6, 63, nbits) == layout_bits(body, 8, 0, nbits)
+
+
+def test_graph6_and_certificates_share_one_layout_on_all_small_graphs():
+    small = [g for n in range(1, 7) for g in fr.enumerate_graphs(n)]
+    assert len(small) == 208
+    for g in small:
+        check_shared_layout(g)
+
+
+@given(graphs(max_n=13))
+def test_graph6_and_certificates_share_one_layout(g):
+    check_shared_layout(g)
 
 
 def test_emit_rejects_more_than_62_vertices():

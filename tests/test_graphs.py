@@ -1,5 +1,7 @@
 """Graph container, generators, and canonical labelling."""
 
+import importlib
+import pkgutil
 import random
 from collections import defaultdict
 from itertools import combinations
@@ -289,7 +291,7 @@ def test_canonical_form_shape():
 
 
 @pytest.mark.parametrize(
-    "cert", [b"5:", b"-1:", b"3:\xff\xff", b"x:", b"3"], ids=repr
+    "cert", [b"5:", b"-1:", b"3:\xff\xff", b"3:\xff", b"x:", b"3"], ids=repr
 )
 def test_malformed_certificates_are_rejected(cert):
     with pytest.raises(ValueError, match="malformed certificate"):
@@ -431,7 +433,7 @@ def test_path5_has_three_orbits():
 
 @pytest.fixture
 def search_nodes(monkeypatch):
-    """Count search-tree nodes (one refinement each) from a cold labelling cache."""
+    """Count search-tree nodes (one refinement each)."""
     count = [0]
     refine = fr.graphs._refine
 
@@ -440,9 +442,7 @@ def search_nodes(monkeypatch):
         return refine(*args)
 
     monkeypatch.setattr(fr.graphs, "_refine", counted)
-    fr.canonical_form.cache_clear()
-    yield count
-    fr.canonical_form.cache_clear()
+    return count
 
 
 def test_torus_grid_8x8_labelling_is_pruned(search_nodes):
@@ -457,6 +457,15 @@ def test_cross_polytope_5_deck_is_pruned(search_nodes):
 
 def test_node_budget_fails_loudly(monkeypatch):
     monkeypatch.setattr(fr.graphs, "SEARCH_NODE_BUDGET", 3)
-    fr.canonical_form.cache_clear()
     with pytest.raises(ValueError, match="6-vertex graph"):
         fr.canonical_form(fr.cross_polytope(3))
+
+
+def test_reduced_homology_keeps_the_only_process_global_cache():
+    cached = set()
+    for info in pkgutil.iter_modules(fr.__path__):
+        module = importlib.import_module(f"flagrecon.{info.name}")
+        for obj in [*vars(fr).values(), *vars(module).values()]:
+            if hasattr(obj, "cache_info"):
+                cached.add(f"{obj.__module__}.{obj.__qualname__}")
+    assert cached == {"flagrecon.homology.reduced_homology"}

@@ -164,6 +164,15 @@ def test_one_report_computes_each_fact_once(monkeypatch):
     assert counts == expected
 
 
+def test_a_non_pure_report_builds_no_link(monkeypatch):
+    # a triangle with a pendant edge: the edge is a facet below the dimension
+    g = fr.Graph.from_edges("0123", [("0", "1"), ("1", "2"), ("0", "2"), ("2", "3")])
+    counts = count_calls(monkeypatch, ["link", "links"])
+    report = analysis_report(g, source_format="graph6")
+    assert report["manifold"]["witness"]["simplex"] == ["2", "3"]
+    assert counts == {"link": 0, "links": 0}
+
+
 @pytest.mark.parametrize(
     "g,subsets,built",
     [
