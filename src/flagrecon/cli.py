@@ -149,6 +149,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         params = [int(p) for p in args.params]
     except ValueError:
         raise FormatError("family parameters must be integers") from None
+    if sum(params) > 62:  # no family has fewer vertices than its parameters add up to
+        raise FormatError("short-form graph6 carries at most 62 vertices")
     print(emit_graph6(generate(args.family, params)))
     return 0
 

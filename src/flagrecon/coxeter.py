@@ -22,7 +22,7 @@ from typing import Iterable, Iterator
 
 from .complexes import SimplicialComplex, Simplex, clique_complex, full_subcomplex, one_skeleton
 from .graphs import Graph, complement, is_connected, iter_bits
-from .homology import AbelianGroup, GradedGroups, reduced_cohomology
+from .homology import AbelianGroup, GradedGroups, reduced_cohomology, reduced_homology
 from .manifolds import SphereVerdict, is_generalized_homology_sphere
 
 __all__ = [
@@ -50,7 +50,7 @@ class NerveSystem:
 
     It is also the one analysis of its graph: each derived fact below is
     computed on first use and kept on the object, so the report, the
-    certificate and the crosscheck share one evaluation.
+    certificate and the crosscheck share one evaluation; no cache outlives it.
     """
 
     graph: Graph
@@ -74,6 +74,12 @@ class NerveSystem:
     def sphere(self) -> SphereVerdict:
         """Sphere verdict of the whole nerve; its ``manifold`` is the manifold verdict."""
         return is_generalized_homology_sphere(self.nerve, self.nerve.dimension)
+
+    @cached_property
+    def homology(self) -> GradedGroups:
+        """Reduced homology of the nerve; a manifold's sphere verdict, once made, holds it."""
+        sphere = self.__dict__.get("sphere")  # a verdict already made; never forces one
+        return sphere.homology if sphere and sphere.homology else reduced_homology(self.nerve)
 
     @cached_property
     def virtual_pd(self) -> PDVerdict:
@@ -210,17 +216,17 @@ def _complement_cohomologies(ns: NerveSystem) -> Iterator[tuple[Simplex, GradedG
     type: a vertex whose closed neighbourhood in W lies in a neighbour's has
     a cone for its link, and deleting it is a strong collapse.  A one-vertex
     core is contractible and nothing is built; the empty W of T = V still
-    gives Z in degree -1.
+    gives Z in degree -1.  Each core's groups are computed once per sweep.
     """
     g = ns.graph
     full = (1 << g.vertex_count) - 1
+    seen = {1 << i: GradedGroups({}) for i in range(g.vertex_count)}  # by core bitset
     for t in spherical_subsets(ns):
         core = _dismantled(g.adj, full & ~sum(1 << g.index(v) for v in t))
-        if core.bit_count() == 1:
-            yield t, GradedGroups({})
-        else:
+        if core not in seen:
             rest = [g.labels[i] for i in iter_bits(core)]
-            yield t, reduced_cohomology(full_subcomplex(ns.nerve, rest))
+            seen[core] = reduced_cohomology(full_subcomplex(ns.nerve, rest))
+        yield t, seen[core]
 
 
 def condition3_vanishing(ns: NerveSystem) -> Condition3Result:

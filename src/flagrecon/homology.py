@@ -12,7 +12,6 @@ reduced; the empty complex is the (-1)-sphere, with H~[-1] = Z only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable
 
 from .complexes import SimplicialComplex, link
@@ -325,7 +324,6 @@ def graph_homology(v: int, e: int, c: int) -> GradedGroups:
     return GradedGroups({-1: TRIVIAL_GROUP, 0: AbelianGroup(c - 1), **cycles})
 
 
-@lru_cache(maxsize=1 << 15)
 def reduced_homology(L: SimplicialComplex) -> GradedGroups:
     """Reduced integral homology in every degree -1 .. dim(L).
 
@@ -334,7 +332,7 @@ def reduced_homology(L: SimplicialComplex) -> GradedGroups:
     :func:`graph_homology` reads the groups off the counts.  Above it each
     boundary operator loses its +-1 pivots to sparse elimination first; the
     Smith normal form of the residual block adds the remaining rank and
-    torsion.
+    torsion.  No call is cached: each analysis keeps its own reuse.
     """
     dim = L.dimension
     if dim <= 1:

@@ -78,6 +78,7 @@ def is_homology_manifold(L: SimplicialComplex, n: int) -> ManifoldVerdict:
     Checks purity first, then walks every simplex by ascending dimension and
     compares its link's reduced homology against the sphere of complementary
     dimension.  Stops at the first failure and reports it as a witness.
+    Equal links (antipodes of a cross-polytope) are computed once per walk.
     """
     if L.dimension == -1:
         raise ValueError("the empty complex is not tested for manifoldness")
@@ -91,9 +92,11 @@ def is_homology_manifold(L: SimplicialComplex, n: int) -> ManifoldVerdict:
                 f"maximal simplex of dimension {len(s) - 1} in a complex tested at dimension {n}",
             )
             return ManifoldVerdict(False, n, (witness,))
+    seen: dict[SimplicialComplex, GradedGroups] = {}
     for k, level in enumerate(L.simplices):
         expected = sphere_homology(n - k - 1)
-        for s, link_hom in zip(level, map(reduced_homology, links(L, k))):
+        for s, lk in zip(level, links(L, k)):
+            link_hom = seen[lk] if lk in seen else seen.setdefault(lk, reduced_homology(lk))
             if link_hom != expected:
                 witness = ManifoldWitness(
                     s,

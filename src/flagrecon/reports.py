@@ -25,7 +25,7 @@ from .coxeter import (
 )
 from .formats import emit_graph6
 from .graphs import Graph
-from .homology import AbelianGroup, GradedGroups, reduced_homology
+from .homology import AbelianGroup, GradedGroups
 from .manifolds import ManifoldVerdict, SphereVerdict
 from .reconstruction import NO_CERTIFICATE_CAVEAT, VERDICT_NONE, Certificate, _certify
 
@@ -156,9 +156,11 @@ def analysis_report(
     """Run the full pipeline on one graph and collect a schema-v1 report.
 
     Every section reads one :class:`NerveSystem`, so each fact is computed
-    once.  Raises on malformed input (e.g. a clique past ``max_dim``); every
-    analysis outcome short of that, including "no certificate", is data in
-    the report rather than an error.
+    once.  The sphere verdict comes first: a manifold's holds the global
+    homology, which is then timed under ``manifold``.  Raises on malformed
+    input (e.g. a clique past ``max_dim``); every analysis outcome short of
+    that, including "no certificate", is data in the report rather than an
+    error.
     """
     timings: dict[str, float] = {}
 
@@ -170,8 +172,8 @@ def analysis_report(
 
     ns = staged("clique_complex", lambda: NerveSystem.from_graph(g, max_dim))
     nerve = ns.nerve
-    homology = staged("homology", lambda: reduced_homology(nerve))
     sphere = staged("manifold", lambda: ns.sphere if nerve.dimension >= 0 else None)
+    homology = staged("homology", lambda: ns.homology)
 
     def coxeter_section():
         if g.vertex_count == 0:

@@ -254,3 +254,19 @@ class TestGen:
         code, out, err = run(monkeypatch, capsys, ["gen", "torus_grid", "3", "5"])
         assert code == 2
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "params", [["complete", "1000000000"], ["torus_grid", "40", "40"], ["path", "63"]]
+    )
+    def test_oversized_family_exits_two_before_building(self, monkeypatch, capsys, params):
+        def refuse(*args):
+            raise AssertionError("the family was built")
+
+        monkeypatch.setattr("flagrecon.cli.generate", refuse)
+        code, out, err = run(monkeypatch, capsys, ["gen", *params])
+        assert (code, out) == (2, "")
+        assert "short-form graph6 carries at most 62 vertices" in err
+
+    def test_the_largest_short_form_family_member_is_emitted(self, monkeypatch, capsys):
+        code, out, err = run(monkeypatch, capsys, ["gen", "complete", "62"])
+        assert code == 0 and fr.parse_graph6(out) == fr.complete(62)

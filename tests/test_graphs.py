@@ -1,7 +1,5 @@
 """Graph container, generators, and canonical labelling."""
 
-import importlib
-import pkgutil
 import random
 from collections import defaultdict
 from itertools import combinations
@@ -459,13 +457,3 @@ def test_node_budget_fails_loudly(monkeypatch):
     monkeypatch.setattr(fr.graphs, "SEARCH_NODE_BUDGET", 3)
     with pytest.raises(ValueError, match="6-vertex graph"):
         fr.canonical_form(fr.cross_polytope(3))
-
-
-def test_reduced_homology_keeps_the_only_process_global_cache():
-    cached = set()
-    for info in pkgutil.iter_modules(fr.__path__):
-        module = importlib.import_module(f"flagrecon.{info.name}")
-        for obj in [*vars(fr).values(), *vars(module).values()]:
-            if hasattr(obj, "cache_info"):
-                cached.add(f"{obj.__module__}.{obj.__qualname__}")
-    assert cached == {"flagrecon.homology.reduced_homology"}

@@ -1,6 +1,9 @@
 """Exact integer homology: boundary maps, Smith forms, and the two
 cohomology routes."""
 
+import importlib
+import pkgutil
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -390,3 +393,14 @@ def test_graded_groups_compare_semantically():
 def test_graded_groups_shift():
     a = fr.GradedGroups({0: fr.INTEGERS})
     assert set(a.shifted(2).nontrivial()) == {2}
+
+
+def test_no_flagrecon_module_keeps_a_process_global_cache():
+    # reuse lives inside one analysis (NerveSystem, the manifold walk, the sweep)
+    cached = set()
+    for info in pkgutil.iter_modules(fr.__path__):
+        module = importlib.import_module(f"flagrecon.{info.name}")
+        for obj in [*vars(fr).values(), *vars(module).values()]:
+            if hasattr(obj, "cache_info"):
+                cached.add(f"{obj.__module__}.{obj.__qualname__}")
+    assert cached == set()

@@ -8,7 +8,7 @@ import pytest
 
 import flagrecon as fr
 from flagrecon.reports import analysis_report, report_json, report_schema
-from oracles import small_corpus
+from oracles import small_corpus, subdivided
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -203,3 +203,38 @@ def test_card_recovery_in_dimension_3_builds_the_vertex_links_in_one_pass(monkey
     counts = count_calls(monkeypatch, ["clique_complex", "build_complex", "link", "links"])
     assert fr.are_isomorphic(fr.reconstruct_from_card(card, 3), g)
     assert counts == {"clique_complex": 1, "build_complex": 0, "link": 0, "links": 1}
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        fr.torus_grid(5, 5),  # the nerve: the report's global homology and the sphere verdict
+        fr.cross_polytope(4),  # equal links: antipodal vertices share theirs
+        subdivided(fr.icosahedron(), 6, 1),  # equal cores: 2-dimensional ones, over and over
+    ],
+)
+def test_one_report_never_computes_the_homology_of_one_complex_twice(monkeypatch, g):
+    received = []
+
+    def recording(fn):
+        def wrapper(L):
+            received.append(L)
+            return fn(L)
+
+        return wrapper
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "flagrecon" and "reduced_homology" in vars(mod):
+            monkeypatch.setattr(mod, "reduced_homology", recording(mod.reduced_homology))
+    analysis_report(g, source_format="graph6")
+    assert received
+    assert len(set(received)) == len(received)
+
+
+def test_nothing_carries_over_to_the_next_report(monkeypatch):
+    g = fr.torus_grid(5, 5)
+    counts = count_calls(monkeypatch, ["_boundary_rows"])
+    first = analysis_report(g, source_format="graph6")
+    rows = counts["_boundary_rows"]
+    assert rows and analysis_report(g, source_format="graph6") == first
+    assert counts["_boundary_rows"] == 2 * rows
