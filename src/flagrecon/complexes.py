@@ -45,9 +45,9 @@ class SimplicialComplex:
     and the level sorted lexicographically by position.  Downward closure
     is the builder's responsibility; the constructor only guards the cheap
     invariants.  :func:`build_complex` closes and sorts outside face lists;
-    :func:`clique_complex`, :func:`link`, :func:`links` and
-    :func:`full_subcomplex` make closed, storage-ordered levels directly
-    and hand them to ``_from_levels``.
+    :func:`clique_complex`, :func:`links` and :func:`full_subcomplex`
+    make closed, storage-ordered levels directly and hand them to
+    ``_from_levels``.
     """
 
     labels: tuple[str, ...]
@@ -207,23 +207,13 @@ def full_subcomplex(L: SimplicialComplex, t: Iterable[str]) -> SimplicialComplex
 def link(L: SimplicialComplex, simplex: Iterable[str]) -> SimplicialComplex:
     """Link of a simplex: faces disjoint from it whose union with it is a face.
 
-    Level j holds the (j + |simplex|)-faces of L that contain the simplex,
-    with its vertices removed, in L's order.  The link of a facet is the
-    empty complex.
+    This is the simplex's entry of :func:`links`; a facet's is the empty complex.
     """
     s = L.simplex(simplex)
     if s not in L._face_set:
         raise ValueError(f"{s} is not a simplex of the complex")
-    sset = set(s)
-    levels = []
-    for level in L.simplices[len(s):]:
-        kept = tuple(
-            tuple(v for v in face if v not in sset) for face in level if sset.issubset(face)
-        )
-        if not kept:
-            break
-        levels.append(kept)
-    return _from_levels(levels)
+    k = len(s) - 1
+    return links(L, k)[L.faces(k).index(s)]
 
 
 def _picker(positions: Sequence[int]) -> itemgetter:
@@ -236,8 +226,9 @@ def links(L: SimplicialComplex, k: int) -> list[SimplicialComplex]:
     """The links of all k-simplices, in the order of ``L.faces(k)``; [] if k is not in 0..dim.
 
     One pass over the levels above k: each face hands its remainder to each
-    of its (k + 1)-vertex subfaces, in L's order, so entry i equals
-    ``link(L, L.faces(k)[i])``, storage order included.
+    of its (k + 1)-vertex subfaces, in L's order, so level j of entry i
+    holds the (j + k + 1)-faces that contain ``L.faces(k)[i]``, with its
+    vertices removed, in L's order.
     """
     index = {s: i for i, s in enumerate(L.faces(k))}
     out: list[list[list[Simplex]]] = [[] for _ in index]

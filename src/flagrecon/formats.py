@@ -9,12 +9,14 @@ with canonical certificates (``graphs.pack_triangle``), 6 bits to a byte.
 from __future__ import annotations
 
 import re
+from typing import Iterator
 
 from .complexes import SimplicialComplex, build_complex
 from .graphs import Graph, pack_triangle, unpack_triangle
 
 __all__ = [
     "FormatError",
+    "MAX_EDGE_LIST_VERTICES",
     "parse_graph6",
     "emit_graph6",
     "parse_edge_list",
@@ -77,15 +79,22 @@ def emit_graph6(g: Graph) -> str:
     return chr(n + 63) + "".join(chr(63 + (packed >> 6 * k & 63)) for k in reversed(range(m)))
 
 
+MAX_EDGE_LIST_VERTICES = 4096  # an adjacency row is as wide as the highest vertex index
+
 _FOREIGN_SPACE = re.compile(r"[^\S \t\r\x0b\x0c]")  # whitespace that is not ASCII
 
 
-def _tokens(raw: str, lineno: int) -> list[str]:
-    """The tokens of one line, split at ASCII whitespace; other whitespace is an error."""
-    foreign = _FOREIGN_SPACE.search(raw)
-    if foreign:
-        raise FormatError(f"line {lineno}: whitespace {foreign.group()!r} is not a token separator")
-    return raw.split()
+def _token_lines(text: str) -> Iterator[tuple[int, list[str]]]:
+    """``(lineno, tokens)`` of each non-blank line; non-ASCII whitespace is an error."""
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        foreign = _FOREIGN_SPACE.search(raw)
+        if foreign:
+            raise FormatError(
+                f"line {lineno}: whitespace {foreign.group()!r} is not a token separator"
+            )
+        parts = raw.split()
+        if parts:
+            yield lineno, parts
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -93,25 +102,23 @@ def parse_edge_list(text: str) -> Graph:
 
     Only a line feed ends a line, and only ASCII whitespace separates tokens.
     Vertex order is first appearance.  Repeated edges collapse silently;
-    self-loops and malformed lines are errors that name the line.
+    self-loops and malformed lines are errors that name the line.  More than
+    ``MAX_EDGE_LIST_VERTICES`` distinct vertices is an error, raised before
+    any graph is built.
     """
-    labels: list[str] = []
-    seen: set[str] = set()
     edges: list[tuple[str, str]] = []
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        parts = _tokens(raw, lineno)
-        if not parts:
-            continue
+    for lineno, parts in _token_lines(text):
         if len(parts) != 2:
             raise FormatError(f"line {lineno}: expected two vertex tokens, got {len(parts)}")
         u, v = parts
         if u == v:
             raise FormatError(f"line {lineno}: self-loop at {u!r}")
-        for w in (u, v):
-            if w not in seen:
-                seen.add(w)
-                labels.append(w)
         edges.append((u, v))
+    labels = dict.fromkeys(w for edge in edges for w in edge)
+    if len(labels) > MAX_EDGE_LIST_VERTICES:
+        raise FormatError(
+            f"edge list names {len(labels)} vertices, over the cap of {MAX_EDGE_LIST_VERTICES}"
+        )
     return Graph.from_edges(labels, edges)
 
 
@@ -123,18 +130,9 @@ def parse_complex(text: str) -> SimplicialComplex:
     first appearance.  A repeated vertex inside a line is an error naming the
     line.
     """
-    labels: list[str] = []
-    seen: set[str] = set()
     faces: list[list[str]] = []
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        parts = _tokens(raw, lineno)
-        if not parts:
-            continue
+    for lineno, parts in _token_lines(text):
         if len(set(parts)) != len(parts):
             raise FormatError(f"line {lineno}: repeated vertex in simplex")
-        for w in parts:
-            if w not in seen:
-                seen.add(w)
-                labels.append(w)
         faces.append(parts)
-    return build_complex(labels, faces)
+    return build_complex(dict.fromkeys(w for face in faces for w in face), faces)

@@ -254,44 +254,35 @@ TRIVIAL_GROUP = AbelianGroup()
 INTEGERS = AbelianGroup(1)
 
 
-@dataclass(eq=False)
+@dataclass
 class GradedGroups:
-    """Degree-indexed abelian groups; degrees not stored are trivial.
+    """Degree-indexed abelian groups; only the nontrivial ones are kept.
 
-    Equality is semantic: two collections are equal when their nontrivial
-    degrees agree, regardless of which trivial degrees happen to be stored.
+    ``by_degree`` is normalised once, to its nontrivial groups in degree
+    order, so equality is plain field equality and :meth:`group` answers
+    any degree, trivial ones included.
     """
 
     by_degree: dict[int, AbelianGroup]
+
+    def __post_init__(self) -> None:
+        self.by_degree = {d: g for d, g in sorted(self.by_degree.items()) if not g.is_trivial}
 
     def group(self, degree: int) -> AbelianGroup:
         return self.by_degree.get(degree, TRIVIAL_GROUP)
 
     def nontrivial(self) -> dict[int, AbelianGroup]:
-        return {
-            d: g for d, g in sorted(self.by_degree.items()) if not g.is_trivial
-        }
+        return dict(self.by_degree)
 
     @property
     def is_trivial_everywhere(self) -> bool:
-        return not self.nontrivial()
+        return not self.by_degree
 
     def shifted(self, offset: int) -> "GradedGroups":
         return GradedGroups({d + offset: g for d, g in self.by_degree.items()})
 
-    def degrees(self) -> list[int]:
-        return sorted(self.by_degree)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GradedGroups):
-            return NotImplemented
-        return self.nontrivial() == other.nontrivial()
-
     def __str__(self) -> str:
-        nt = self.nontrivial()
-        if not nt:
-            return "0"
-        return ", ".join(f"[{d}]={g}" for d, g in nt.items())
+        return ", ".join(f"[{d}]={g}" for d, g in self.by_degree.items()) or "0"
 
 
 # ---------------------------------------------------------------------------
@@ -314,18 +305,16 @@ def components(vertices: Iterable[str], edges: Iterable[tuple[str, str]]) -> tup
 def graph_homology(v: int, e: int, c: int) -> GradedGroups:
     """Reduced homology of a complex of dimension <= 1 with v vertices, e edges, c components.
 
-    H~[0] = Z^(c-1), H~[1] = Z^(e-v+c), no torsion; degree 1 is stored only
-    when there is an edge.  With no vertex this is the empty complex, whose
-    only group is Z in degree -1.
+    H~[0] = Z^(c-1), H~[1] = Z^(e-v+c), no torsion.  With no vertex this is
+    the empty complex, whose only group is Z in degree -1.
     """
     if not v:
         return GradedGroups({-1: INTEGERS})
-    cycles = {1: AbelianGroup(e - v + c)} if e else {}
-    return GradedGroups({-1: TRIVIAL_GROUP, 0: AbelianGroup(c - 1), **cycles})
+    return GradedGroups({0: AbelianGroup(c - 1), 1: AbelianGroup(e - v + c)})
 
 
 def reduced_homology(L: SimplicialComplex) -> GradedGroups:
-    """Reduced integral homology in every degree -1 .. dim(L).
+    """Reduced integral homology, computed in every degree -1 .. dim(L).
 
     The augmented chain complex is used, so the empty complex reports Z in
     degree -1.  Up to dimension 1 union-find counts the components and

@@ -170,7 +170,7 @@ def boundary_of(L: SimplicialComplex, n: int) -> frozenset[str]:
         raise ValueError("manifold dimension must be nonnegative")
     if not is_pure(L, n):
         raise ValueError(f"complex is not pure of dimension {n}")
-    interior = sphere_homology(n - 1).nontrivial()
+    interior = sphere_homology(n - 1)
     if n <= 2:
         link_vertices: dict[str, list[str]] = {v: [] for v in L.labels}
         for a, b in L.faces(1):
@@ -188,11 +188,8 @@ def boundary_of(L: SimplicialComplex, n: int) -> frozenset[str]:
         hs = map(reduced_homology, links(L, 0))
     out = []
     for v, h in zip(L.labels, hs):
-        local = h.nontrivial()
-        if local == interior:
-            continue
-        if not local:
+        if h.is_trivial_everywhere:
             out.append(v)
-        else:
+        elif h != interior:
             raise BoundaryPatternError(v, h.shifted(1), n)
     return frozenset(out)

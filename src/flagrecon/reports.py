@@ -11,7 +11,7 @@ from __future__ import annotations
 import importlib.resources
 import json
 import time
-from typing import Any
+from typing import Any, Iterable
 
 from .complexes import euler_characteristic, f_vector
 from .coxeter import (
@@ -52,15 +52,9 @@ def _group_payload(g: AbelianGroup) -> dict[str, Any]:
     return {"rank": g.rank, "torsion": list(g.torsion)}
 
 
-def _graded_payload(gg: GradedGroups, full_range: bool = False) -> list[dict[str, Any]]:
-    if full_range:
-        degrees = gg.degrees()
-    else:
-        degrees = sorted(gg.nontrivial())
-    return [
-        {"degree": d, "rank": gg.group(d).rank, "torsion": list(gg.group(d).torsion)}
-        for d in degrees
-    ]
+def _graded_payload(gg: GradedGroups, degrees: Iterable[int]) -> list[dict[str, Any]]:
+    """One entry for each of ``degrees``, in their order, trivial groups included."""
+    return [{"degree": d, **_group_payload(gg.group(d))} for d in degrees]
 
 
 def _manifold_payload(v: ManifoldVerdict | None) -> dict[str, Any] | None:
@@ -71,7 +65,7 @@ def _manifold_payload(v: ManifoldVerdict | None) -> dict[str, Any] | None:
         w = v.witnesses[0]
         payload["witness"] = {
             "simplex": list(w.simplex),
-            "local_homology": _graded_payload(w.local_homology),
+            "local_homology": _graded_payload(w.local_homology, w.local_homology.by_degree),
             "detail": w.detail,
         }
     else:
@@ -221,7 +215,7 @@ def analysis_report(
             "f_vector": list(f_vector(nerve)),
             "euler_characteristic": euler_characteristic(nerve),
         },
-        "homology": _graded_payload(homology, full_range=True),
+        "homology": _graded_payload(homology, range(-1, nerve.dimension + 1)),
         "manifold": _manifold_payload(sphere.manifold if sphere else None),
         "sphere": _sphere_payload(sphere),
         "coxeter": coxeter,

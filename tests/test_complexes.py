@@ -270,7 +270,7 @@ def test_filtered_levels_edge_cases():
 
 def assert_links_match_link(L):
     for k in range(L.dimension + 2):
-        expected = [stored(fr.link(L, sigma)) for sigma in L.faces(k)]
+        expected = [stored(reclosed_link(L, sigma)) for sigma in L.faces(k)]
         assert [stored(lk) for lk in fr.links(L, k)] == expected
 
 

@@ -197,6 +197,25 @@ def test_edge_list_with_non_ascii_whitespace_exits_two(tmp_path, capsys, sep):
     assert capsys.readouterr().err.startswith("error: line 2: whitespace")
 
 
+def path_edges(n):
+    return "".join(f"v{i} v{i + 1}\n" for i in range(n - 1))
+
+
+def test_parse_edge_list_takes_up_to_the_vertex_cap():
+    g = fr.parse_edge_list(path_edges(fr.MAX_EDGE_LIST_VERTICES))
+    assert g.vertex_count == fr.MAX_EDGE_LIST_VERTICES == 4096
+    assert g.labels[:3] == ("v0", "v1", "v2")
+
+
+def test_edge_list_over_the_vertex_cap_exits_two(tmp_path, capsys):
+    f = tmp_path / "long.edges"
+    f.write_text(path_edges(fr.MAX_EDGE_LIST_VERTICES + 1), encoding="utf-8")
+    assert main(["analyze", "--format", "edges", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: edge list names 4097 vertices")
+    assert "cap of 4096" in err
+
+
 def test_parse_edge_list_reads_crlf_lines():
     g = fr.parse_edge_list("a b\r\nb c\r\n")
     assert g == fr.parse_edge_list("a b\nb c\n")

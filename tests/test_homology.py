@@ -230,14 +230,14 @@ def test_reduced_homology_frozen_values(L, expected):
 @pytest.mark.parametrize("name,L", corpus_complexes())
 def test_free_ranks_match_rational_oracle(name, L):
     h = fr.reduced_homology(L)
-    got = {k: h.group(k).rank for k in h.degrees() if h.group(k).rank}
+    got = {k: h.group(k).rank for k in range(-1, L.dimension + 1) if h.group(k).rank}
     assert got == rational_betti(L)
 
 
 @pytest.mark.parametrize("name,L", corpus_complexes())
 def test_euler_characteristic_equals_alternating_rank_sum(name, L):
     h = fr.reduced_homology(L)
-    total = sum((-1) ** k * h.group(k).rank for k in h.degrees())
+    total = sum((-1) ** k * h.group(k).rank for k in range(-1, L.dimension + 1))
     assert fr.euler_characteristic(L) == total + (0 if L.vertex_count == 0 else 1)
 
 
@@ -245,7 +245,7 @@ def test_euler_characteristic_equals_alternating_rank_sum(name, L):
 def test_homology_of_random_flag_complexes_matches_oracle_ranks(g):
     L = fr.clique_complex(g)
     h = fr.reduced_homology(L)
-    got = {k: h.group(k).rank for k in h.degrees() if h.group(k).rank}
+    got = {k: h.group(k).rank for k in range(-1, L.dimension + 1) if h.group(k).rank}
     assert got == rational_betti(L)
 
 
@@ -277,10 +277,11 @@ def one_dimensional_complexes(draw):
 
 def check_matrix_free_homology(L):
     h = fr.reduced_homology(L)
+    degrees = range(-1, L.dimension + 1)
     assert L.dimension <= 1
-    assert h.degrees() == list(range(-1, L.dimension + 1))
-    assert all(not h.group(k).torsion for k in h.degrees())
-    assert {k: h.group(k).rank for k in h.degrees() if h.group(k).rank} == rational_betti(L)
+    assert not any(g.is_trivial for g in h.by_degree.values())
+    assert all(not h.group(k).torsion for k in degrees)
+    assert {k: h.group(k).rank for k in degrees if h.group(k).rank} == rational_betti(L)
     # universal coefficients: free parts equal, torsion moves up a degree (none here)
     co = reduced_cohomology_via_cochains(L)
     for k in range(-1, L.dimension + 1):
@@ -386,8 +387,12 @@ def test_graded_groups_compare_semantically():
     a = fr.GradedGroups({0: fr.TRIVIAL_GROUP, 1: fr.INTEGERS})
     b = fr.GradedGroups({1: fr.INTEGERS, 5: fr.TRIVIAL_GROUP})
     assert a == b
+    assert a.by_degree == b.by_degree == {1: fr.INTEGERS}  # no trivial group is stored
     assert set(a.nontrivial()) == {1}
+    assert str(a) == "[1]=Z"
+    assert str(fr.GradedGroups({2: fr.INTEGERS, 0: fr.AbelianGroup(0, (2,))})) == "[0]=Z/2, [2]=Z"
     assert not a.is_trivial_everywhere
+    assert fr.GradedGroups({3: fr.TRIVIAL_GROUP}).is_trivial_everywhere
 
 
 def test_graded_groups_shift():

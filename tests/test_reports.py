@@ -127,6 +127,24 @@ def test_golden_reports_are_byte_stable(fname, g):
     assert report_json(analysis_report(g, source_format="graph6")) == expected
 
 
+@pytest.mark.parametrize(
+    "g,dim",
+    [
+        (fr.Graph((), ()), -1),
+        (fr.complete(1), 0),
+        (fr.Graph.from_edges(["a", "b"], []), 0),
+        (fr.complete(2), 1),
+        (fr.cycle(5), 1),
+        (fr.complete(4), 3),
+    ],
+    ids=["empty", "K1", "2K1", "K2", "C5", "K4"],
+)
+def test_report_homology_lists_every_degree_from_minus_one_to_the_dimension(g, dim):
+    report = analysis_report(g, source_format="graph6")
+    assert report["flag_complex"]["dimension"] == dim
+    assert [entry["degree"] for entry in report["homology"]] == list(range(-1, dim + 1))
+
+
 def count_calls(monkeypatch, names):
     """Count calls to the named flagrecon functions, from every module that binds them."""
     counts = dict.fromkeys(names, 0)
