@@ -12,7 +12,7 @@ import flagrecon as fr
 
 
 def system(g):
-    return fr.NerveSystem(g, fr.clique_complex(g))
+    return fr.NerveSystem.from_graph(g)
 
 
 # spherical subsets (finite parabolic subgroups) are exactly the cliques

@@ -116,7 +116,7 @@ def _cmd_deck(args: argparse.Namespace) -> int:
 
 def _cmd_reconstruct(args: argparse.Namespace) -> int:
     card = _parse_graph(_read_input(args.input), args.format)
-    recovered = reconstruct_from_card(card, args.dim, max_dim=args.max_dim)
+    recovered = reconstruct_from_card(card, args.dim)
     print(emit_graph6(recovered))
     return 0
 
@@ -185,7 +185,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reconstruct", help="recover a graph from one card")
     add_graph_input(p)
     p.add_argument("--dim", type=int, required=True, help="manifold dimension n >= 1")
-    p.add_argument("--max-dim", type=int, default=None, help="clique dimension cap")
     p.set_defaults(fn=_cmd_reconstruct)
 
     p = sub.add_parser("scan", help="search a corpus for hypomorphic non-isomorphic groups")

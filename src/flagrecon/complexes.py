@@ -134,8 +134,6 @@ def build_complex(labels: Iterable[str], faces: Iterable[Iterable[str]]) -> Simp
             by_dim[k - 1].update(itertools.combinations(idx, k))
     if not labels:
         return SimplicialComplex((), ())
-    while len(by_dim) > 1 and not by_dim[-1]:
-        by_dim.pop()
     simplices = tuple(
         tuple(tuple(labels[i] for i in s) for s in sorted(level)) for level in by_dim
     )

@@ -16,11 +16,11 @@ equivalents:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator
 
-from .complexes import SimplicialComplex, Simplex, clique_complex, full_subcomplex, one_skeleton
+from .complexes import SimplicialComplex, Simplex, clique_complex, full_subcomplex
 from .graphs import Graph, complement, is_connected, iter_bits
 from .homology import AbelianGroup, GradedGroups, reduced_cohomology, reduced_homology
 from .manifolds import SphereVerdict, is_generalized_homology_sphere
@@ -46,7 +46,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NerveSystem:
-    """A right-angled system presented by its graph and its nerve (the clique complex).
+    """A right-angled system given by its graph; its nerve, the clique complex, is
+    derived at construction, so a clique past ``max_dim`` raises at once.
 
     It is also the one analysis of its graph: each derived fact below is
     computed on first use and kept on the object, so the report, the
@@ -54,17 +55,15 @@ class NerveSystem:
     """
 
     graph: Graph
-    nerve: SimplicialComplex
+    max_dim: InitVar[int | None] = field(default=None, kw_only=True)
+    nerve: SimplicialComplex = field(init=False)
 
-    def __post_init__(self) -> None:
-        # the nerve must sit over exactly this graph; flagness is the
-        # builder's contract and is not re-derived here
-        if one_skeleton(self.nerve) != self.graph:
-            raise ValueError("nerve's 1-skeleton does not match the graph")
+    def __post_init__(self, max_dim: int | None) -> None:
+        object.__setattr__(self, "nerve", clique_complex(self.graph, max_dim))
 
     @classmethod
     def from_graph(cls, g: Graph, max_dim: int | None = None) -> "NerveSystem":
-        return cls(g, clique_complex(g, max_dim))
+        return cls(g, max_dim=max_dim)
 
     @property
     def vertices(self) -> tuple[str, ...]:

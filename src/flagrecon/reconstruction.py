@@ -138,20 +138,21 @@ def _fresh_label(taken: tuple[str, ...]) -> str:
     return label
 
 
-def reconstruct_from_card(card: Graph, n: int, max_dim: int | None = None) -> Graph:
+def reconstruct_from_card(card: Graph, n: int) -> Graph:
     """Recover a graph from one card, assuming the original's clique complex
     is a homology n-manifold without boundary.
 
     Deleting a vertex punches a hole whose rim is exactly the deleted
     vertex's neighbourhood: in the card's clique complex those are the
     vertices whose local homology has gone trivial.  The lost vertex is
-    reattached along that rim.  If the card does not have the expected
-    shape, the boundary scan raises.
+    reattached along that rim.  The card's clique complex then has dimension
+    n too, so n caps its cliques: a clique on n + 2 vertices raises
+    :class:`DimensionCapExceeded` before any larger one is built.  If the
+    card does not have the expected shape, the boundary scan raises.
     """
     if n < 1:
         raise ValueError("card recovery needs manifold dimension n >= 1")
-    nerve = clique_complex(card, max_dim)
-    rim = boundary_of(nerve, n)
+    rim = boundary_of(clique_complex(card, n), n)
     label = _fresh_label(card.labels)
     edges = card.edges() + [(label, v) for v in sorted(rim, key=card.index)]
     return Graph.from_edges(card.labels + (label,), edges)
@@ -163,10 +164,10 @@ def enumerate_graphs(n: int) -> list[Graph]:
     Grown from the classes one order down by attaching a new vertex of minimum
     degree, deduplicating by canonical form.  Exact: deleting a minimum-degree
     vertex v of G leaves a copy of some class H, and joining a new vertex to the
-    image of N(v) in H rebuilds G.  Capped at n = 7 (1044 classes).
+    image of N(v) in H rebuilds G.  Capped at n = 8 (12346 classes).
     """
-    if not 1 <= n <= 7:
-        raise ValueError("enumeration supports 1 <= n <= 7")
+    if not 1 <= n <= 8:
+        raise ValueError("enumeration supports 1 <= n <= 8")
     reps: dict[bytes, Graph] = {}
     single = Graph(("0",), (0,))
     reps[canonical_form(single)] = single

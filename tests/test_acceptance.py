@@ -43,7 +43,7 @@ def _hypomorphic_groups(n: int) -> tuple[tuple[fr.Graph, ...], ...]:
 
 
 def _system(g: fr.Graph) -> fr.NerveSystem:
-    return fr.NerveSystem(g, fr.clique_complex(g))
+    return fr.NerveSystem.from_graph(g)
 
 
 def test_criterion_1_certificates_are_sound_exhaustively_to_order_7():

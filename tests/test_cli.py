@@ -167,6 +167,18 @@ class TestReconstruct:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_a_clique_past_the_dimension_exits_two(self, monkeypatch, capsys):
+        k7 = fr.emit_graph6(fr.complete(7))
+        code, out, err = run(monkeypatch, capsys, ["reconstruct", "--dim", "2"], stdin=k7)
+        assert (code, out) == (2, "")
+        assert err == "error: clique on 4 vertices exceeds the dimension cap 2\n"
+
+    def test_max_dim_is_not_a_reconstruct_flag(self, monkeypatch, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(monkeypatch, capsys, ["reconstruct", "--max-dim", "2", "--dim", "2"], stdin="DDW")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --max-dim" in capsys.readouterr().err
+
 
 class TestScan:
     def test_order_two_finds_the_classical_pair(self, monkeypatch, capsys):
@@ -182,6 +194,10 @@ class TestScan:
         assert code == 0
         assert "classes scanned: 11" in out
         assert "hypomorphic groups: 0" in out
+
+    def test_order_eight_is_clean(self, monkeypatch, capsys):
+        code, out, err = run(monkeypatch, capsys, ["scan", "--max-n", "8"])
+        assert (code, out) == (0, "classes scanned: 12346\nhypomorphic groups: 0\n")
 
     def test_corpus_file_deduplicates_isomorphs(self, monkeypatch, capsys, tmp_path):
         relabeled = fr.cycle(5).relabel({"0": "4", "1": "1", "2": "2", "3": "3", "4": "0"})

@@ -45,9 +45,23 @@ def sweep_systems():
 # ------------------------------------------------------------------ basics
 
 
-def test_nerve_must_sit_over_the_graph():
-    with pytest.raises(ValueError):
-        fr.NerveSystem(fr.cycle(4), fr.clique_complex(fr.cycle(5)))
+@pytest.mark.parametrize("name,g", small_corpus())
+def test_the_nerve_is_the_graphs_clique_complex(name, g):
+    assert fr.NerveSystem(g).nerve == fr.clique_complex(g)
+
+
+def test_a_passed_nerve_is_a_type_error():
+    g = fr.cycle(5)
+    with pytest.raises(TypeError):
+        fr.NerveSystem(g, fr.clique_complex(g))
+
+
+def test_the_dimension_cap_applies_at_construction():
+    with pytest.raises(fr.DimensionCapExceeded, match="^clique on 3 vertices "):
+        fr.NerveSystem(fr.complete(3), max_dim=1)
+    with pytest.raises(fr.DimensionCapExceeded):
+        fr.NerveSystem.from_graph(fr.complete(3), 1)
+    assert fr.NerveSystem(fr.complete(3), max_dim=2).nerve.dimension == 2
 
 
 def test_from_graph_builds_the_clique_complex():
@@ -389,8 +403,12 @@ def test_crosscheck_rejects_reducible_systems():
 
 
 def test_crosscheck_rejects_finite_systems():
-    with pytest.raises(ValueError):
+    # K4 is reducible too, so that check speaks first; K1 is the one finite
+    # irreducible system
+    with pytest.raises(ValueError, match="^crosscheck requires an irreducible system$"):
         fr.lemma_key_crosscheck(system(fr.complete(4)))
+    with pytest.raises(ValueError, match="^crosscheck requires an infinite group$"):
+        fr.lemma_key_crosscheck(system(fr.complete(1)))
 
 
 @settings(max_examples=40)

@@ -234,6 +234,12 @@ def test_reconstruction_rejects_wrong_dimension():
         fr.reconstruct_from_card(card, 0)
 
 
+def test_card_cliques_are_capped_at_the_manifold_dimension():
+    # a card of a closed 2-manifold has no K4; the first one ends the build
+    with pytest.raises(fr.DimensionCapExceeded, match="^clique on 4 vertices "):
+        fr.reconstruct_from_card(fr.complete(7), 2)
+
+
 def test_reconstruction_rejects_cards_with_a_bad_pattern():
     bow = fr.Graph.from_edges(
         "01234",
@@ -252,7 +258,8 @@ def classes(n: int) -> list[fr.Graph]:
 
 
 def test_enumerate_graphs_class_counts():
-    assert [len(classes(n)) for n in range(1, 8)] == [1, 2, 4, 11, 34, 156, 1044]
+    # OEIS A000088
+    assert [len(classes(n)) for n in range(1, 9)] == [1, 2, 4, 11, 34, 156, 1044, 12346]
 
 
 def test_enumerate_graphs_returns_distinct_classes():
@@ -272,8 +279,8 @@ def test_minimum_degree_growth_matches_the_unfiltered_growth(n):
 def test_enumerate_graphs_bounds():
     with pytest.raises(ValueError):
         fr.enumerate_graphs(0)
-    with pytest.raises(ValueError):
-        fr.enumerate_graphs(8)
+    with pytest.raises(ValueError, match="^enumeration supports 1 <= n <= 8$"):
+        fr.enumerate_graphs(9)
 
 
 def test_enumeration_covers_n4_up_to_isomorphism():
@@ -308,6 +315,11 @@ def test_oracle_finds_the_classical_two_vertex_pair():
 @pytest.mark.parametrize("n", [1, 3, 4, 5])
 def test_oracle_finds_nothing_at_other_small_orders(n):
     assert fr.brute_force_oracle(fr.enumerate_graphs(n)) == []
+
+
+def test_every_graph_on_eight_vertices_is_determined_by_its_deck():
+    # every graph up to order 11 is reconstructible (McKay, 1997)
+    assert fr.brute_force_oracle(classes(8)) == []
 
 
 @pytest.mark.parametrize("n", range(1, 8))
