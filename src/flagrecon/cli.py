@@ -47,7 +47,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     report = analysis_report(
         g,
         source_format="graph6" if args.format == "g6" else "edges",
-        max_dim=args.max_dim,
         with_timings=args.timings,
     )
     if args.json:
@@ -174,7 +173,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="full analysis report for one graph")
     add_graph_input(p)
     p.add_argument("--json", metavar="PATH", help="also write the JSON report here")
-    p.add_argument("--max-dim", type=int, default=None, help="clique dimension cap")
     p.add_argument("--timings", action="store_true", help="fill per-stage timings (ms)")
     p.set_defaults(fn=_cmd_analyze)
 

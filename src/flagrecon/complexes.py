@@ -16,6 +16,7 @@ from typing import Iterable, Sequence
 from .graphs import Graph, iter_bits
 
 __all__ = [
+    "MAX_FACES",
     "Simplex",
     "SimplicialComplex",
     "DimensionCapExceeded",
@@ -31,6 +32,13 @@ __all__ = [
 ]
 
 Simplex = tuple[str, ...]
+
+MAX_FACES = 1 << 16  # faces one built complex may have: complete(16) has 65 535
+
+
+def _check_budget(faces: int) -> None:
+    if faces > MAX_FACES:
+        raise ValueError(f"complex of {faces} faces or more is over MAX_FACES = {MAX_FACES}")
 
 
 class DimensionCapExceeded(ValueError):
@@ -113,7 +121,8 @@ def build_complex(labels: Iterable[str], faces: Iterable[Iterable[str]]) -> Simp
     """Close ``faces`` downward over ``labels`` and normalise storage.
 
     Every label becomes a 0-simplex whether or not a face mentions it.
-    Faces may list vertices in any order but must not repeat one.
+    Faces may list vertices in any order but must not repeat one.  Past
+    ``MAX_FACES`` faces it raises, before closing a face too big on its own.
     """
     labels = tuple(labels)
     pos = {v: i for i, v in enumerate(labels)}
@@ -128,10 +137,12 @@ def build_complex(labels: Iterable[str], faces: Iterable[Iterable[str]]) -> Simp
             raise ValueError(f"face references unknown vertex {missing!r}")
         if len(set(idx)) != len(idx):
             raise ValueError(f"face repeats a vertex: {face}")
+        _check_budget((1 << len(idx)) - 1)
         while len(by_dim) < len(idx):
             by_dim.append(set())
         for k in range(2, len(idx) + 1):
             by_dim[k - 1].update(itertools.combinations(idx, k))
+        _check_budget(sum(map(len, by_dim)))
     if not labels:
         return SimplicialComplex((), ())
     simplices = tuple(
@@ -153,19 +164,23 @@ def clique_complex(g: Graph, max_dim: int | None = None) -> SimplicialComplex:
     a vertex starts with its neighbours above it.  Level k + 1 extends each
     k-clique by each v in its ``up``, with ``up & adj[v]`` above v as the new
     ``up``.  So every face is made once, and each level comes out in
-    lexicographic order of positions, the storage order.  With ``max_dim``
-    set, a non-empty level ``max_dim + 1`` raises :class:`DimensionCapExceeded`
-    at once rather than truncating silently; no higher level is built.
+    lexicographic order of positions, the storage order.  A level that takes
+    the face count past ``MAX_FACES`` raises before it is built: its size is
+    the sum of the ``up`` counts.  With ``max_dim`` set, a non-empty level
+    ``max_dim + 1`` raises :class:`DimensionCapExceeded` instead of truncating.
     """
     adj, labels = g.adj, g.labels
     frontier = [((v,), adj[i] & (-1 << (i + 1))) for i, v in enumerate(labels)]
     levels: list[tuple[Simplex, ...]] = []
+    faces = len(frontier)
     while frontier:
         if max_dim is not None and len(levels) > max_dim:
             raise DimensionCapExceeded(
                 f"clique on {len(levels) + 1} vertices exceeds the dimension cap {max_dim}"
             )
         levels.append(tuple(s for s, _ in frontier))
+        faces += sum(up.bit_count() for _, up in frontier)
+        _check_budget(faces)
         frontier = [
             (s + (labels[v],), up & adj[v] & (-1 << (v + 1)))
             for s, up in frontier

@@ -16,7 +16,7 @@ equivalents:
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator
 
@@ -47,7 +47,7 @@ __all__ = [
 @dataclass(frozen=True)
 class NerveSystem:
     """A right-angled system given by its graph; its nerve, the clique complex, is
-    derived at construction, so a clique past ``max_dim`` raises at once.
+    derived at construction, so a nerve over ``MAX_FACES`` faces raises at once.
 
     It is also the one analysis of its graph: each derived fact below is
     computed on first use and kept on the object, so the report, the
@@ -55,19 +55,18 @@ class NerveSystem:
     """
 
     graph: Graph
-    max_dim: InitVar[int | None] = field(default=None, kw_only=True)
     nerve: SimplicialComplex = field(init=False)
 
-    def __post_init__(self, max_dim: int | None) -> None:
-        object.__setattr__(self, "nerve", clique_complex(self.graph, max_dim))
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "nerve", clique_complex(self.graph))
 
     @classmethod
-    def from_graph(cls, g: Graph, max_dim: int | None = None) -> "NerveSystem":
-        return cls(g, max_dim=max_dim)
+    def from_graph(cls, g: Graph) -> "NerveSystem":
+        return cls(g)
 
-    @property
-    def vertices(self) -> tuple[str, ...]:
-        return self.graph.labels
+    @cached_property
+    def irreducible(self) -> bool:
+        return is_irreducible(self)
 
     @cached_property
     def sphere(self) -> SphereVerdict:
@@ -275,7 +274,7 @@ def coxeter_cohomology_if_fg(ns: NerveSystem, i: int) -> AbelianGroup | _NotFini
     """
     if i < 0:
         raise ValueError("cohomological degree must be nonnegative")
-    if not is_irreducible(ns):
+    if not ns.irreducible:
         raise ValueError("the dictionary applies to irreducible systems only")
     if any(not coh.group(i - 1).is_trivial for _, coh in _complement_cohomologies(ns)):
         return NOT_FINITELY_GENERATED
@@ -311,7 +310,7 @@ def lemma_key_crosscheck(ns: NerveSystem) -> LemmaKeyReport:
     Such a system has no universal vertex, so the PD verdict tests the same
     complex as the sphere statement, and the vanishing is a separate sweep.
     """
-    if not is_irreducible(ns):
+    if not ns.irreducible:
         raise ValueError("crosscheck requires an irreducible system")
     if is_finite_group(ns):
         raise ValueError("crosscheck requires an infinite group")

@@ -128,7 +128,7 @@ def parse_complex(text: str) -> SimplicialComplex:
     Only a line feed ends a line, and only ASCII whitespace separates tokens.
     The complex is the downward closure of the listed faces; vertex order is
     first appearance.  A repeated vertex inside a line is an error naming the
-    line.
+    line.  Past ``MAX_FACES`` faces, :func:`build_complex` raises.
     """
     faces: list[list[str]] = []
     for lineno, parts in _token_lines(text):

@@ -108,7 +108,7 @@ class Certificate:
     caveat: str | None = None
 
 
-def certify_reconstructible(g: Graph, max_dim: int | None = None) -> Certificate:
+def certify_reconstructible(g: Graph) -> Certificate:
     """Certify that the deck of ``g`` determines it, if a criterion applies.
 
     Requires at least 3 vertices (below that the deck carries too little
@@ -116,11 +116,14 @@ def certify_reconstructible(g: Graph, max_dim: int | None = None) -> Certificate
     """
     if g.vertex_count < 3:
         raise ValueError("certificates require at least 3 vertices")
-    return _certify(NerveSystem.from_graph(g, max_dim))
+    return _certify(NerveSystem.from_graph(g))
 
 
 def _certify(ns: NerveSystem) -> Certificate:
-    """The certificate read from the system's facts, for 3 or more vertices."""
+    """The certificate read from the system's facts; below 3 vertices, none."""
+    if ns.graph.vertex_count < 3:
+        caveat = f"{NO_CERTIFICATE_CAVEAT}; graphs below 3 vertices are not certified"
+        return Certificate(VERDICT_NONE, None, None, None, caveat)
     n = ns.nerve.dimension
     manifold = ns.sphere.manifold if n >= 1 else None
     if manifold is not None and manifold.is_manifold:

@@ -20,14 +20,13 @@ from .coxeter import (
     NerveSystem,
     PDVerdict,
     is_finite_group,
-    is_irreducible,
     lemma_key_crosscheck,
 )
 from .formats import emit_graph6
 from .graphs import Graph
 from .homology import AbelianGroup, GradedGroups
 from .manifolds import ManifoldVerdict, SphereVerdict
-from .reconstruction import NO_CERTIFICATE_CAVEAT, VERDICT_NONE, Certificate, _certify
+from .reconstruction import Certificate, _certify
 
 __all__ = ["SCHEMA_VERSION", "analysis_report", "report_json", "report_schema"]
 
@@ -124,14 +123,7 @@ def _lemma_key_payload(r: LemmaKeyReport | None, reason: str | None) -> dict[str
     }
 
 
-def _certificate_payload(c: Certificate | None, note: str | None) -> dict[str, Any]:
-    if c is None:
-        return {
-            "verdict": VERDICT_NONE,
-            "dimension": None,
-            "theorem_path": _THEOREM_PATHS[VERDICT_NONE],
-            "caveat": f"{NO_CERTIFICATE_CAVEAT}; {note}" if note else NO_CERTIFICATE_CAVEAT,
-        }
+def _certificate_payload(c: Certificate) -> dict[str, Any]:
     return {
         "verdict": c.verdict,
         "dimension": c.dimension,
@@ -140,21 +132,15 @@ def _certificate_payload(c: Certificate | None, note: str | None) -> dict[str, A
     }
 
 
-def analysis_report(
-    g: Graph,
-    *,
-    source_format: str,
-    max_dim: int | None = None,
-    with_timings: bool = False,
-) -> dict[str, Any]:
+def analysis_report(g: Graph, *, source_format: str, with_timings: bool = False) -> dict[str, Any]:
     """Run the full pipeline on one graph and collect a schema-v1 report.
 
     Every section reads one :class:`NerveSystem`, so each fact is computed
     once.  The sphere verdict comes first: a manifold's holds the global
     homology, which is then timed under ``manifold``.  Raises on malformed
-    input (e.g. a clique past ``max_dim``); every analysis outcome short of
-    that, including "no certificate", is data in the report rather than an
-    error.
+    input (e.g. a flag complex over the face budget ``MAX_FACES``); every
+    analysis outcome short of that, including "no certificate", is data in
+    the report rather than an error.
     """
     timings: dict[str, float] = {}
 
@@ -164,7 +150,7 @@ def analysis_report(
         timings[name] = round((time.perf_counter() - start) * 1000.0, 3)
         return result
 
-    ns = staged("clique_complex", lambda: NerveSystem.from_graph(g, max_dim))
+    ns = staged("clique_complex", lambda: NerveSystem(g))
     nerve = ns.nerve
     sphere = staged("manifold", lambda: ns.sphere if nerve.dimension >= 0 else None)
     homology = staged("homology", lambda: ns.homology)
@@ -173,7 +159,7 @@ def analysis_report(
         if g.vertex_count == 0:
             return None
         finite = is_finite_group(ns)
-        irreducible = is_irreducible(ns)
+        irreducible = ns.irreducible
         pd = ns.virtual_pd
         if irreducible and not finite:
             lemma, reason = lemma_key_crosscheck(ns), None
@@ -195,12 +181,7 @@ def analysis_report(
 
     coxeter = staged("coxeter", coxeter_section)
 
-    def certificate_section():
-        if g.vertex_count < 3:
-            return _certificate_payload(None, "graphs below 3 vertices are not certified")
-        return _certificate_payload(_certify(ns), None)
-
-    certificate = staged("certificate", certificate_section)
+    certificate = staged("certificate", lambda: _certificate_payload(_certify(ns)))
 
     return {
         "schema_version": SCHEMA_VERSION,

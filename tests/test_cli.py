@@ -85,13 +85,17 @@ class TestAnalyze:
         assert report["timings"] is not None
         assert all(isinstance(v, float) for v in report["timings"].values())
 
-    def test_dimension_cap_violation_exits_two(self, monkeypatch, capsys):
-        k5 = fr.emit_graph6(fr.complete(5))
-        code, out, err = run(
-            monkeypatch, capsys, ["analyze", "--max-dim", "2"], stdin=k5
-        )
-        assert code == 2
-        assert err.startswith("error:")
+    def test_a_complex_over_the_face_budget_exits_two(self, monkeypatch, capsys):
+        _, k17, _ = run(monkeypatch, capsys, ["gen", "complete", "17"])
+        code, out, err = run(monkeypatch, capsys, ["analyze"], stdin=k17)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.endswith(" over MAX_FACES = 65536\n")
+
+    def test_max_dim_is_not_an_analyze_flag(self, monkeypatch, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(monkeypatch, capsys, ["analyze", "--max-dim", "2"], stdin="Dhc")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --max-dim" in capsys.readouterr().err
 
     def test_human_summary_matches_the_report(self, monkeypatch, capsys):
         code, out, err = run(monkeypatch, capsys, ["analyze"], stdin="EhEG")

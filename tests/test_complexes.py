@@ -7,6 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import flagrecon as fr
+from flagrecon import complexes
+from flagrecon.graphs import iter_bits
 from oracles import (
     brute_maximal_cliques,
     corpus_complexes,
@@ -121,6 +123,42 @@ def test_dimension_cap_raises_instead_of_truncating(g, max_dim):
     else:
         # a cap at or above the true dimension changes nothing
         assert fr.clique_complex(g, max_dim) == fr.clique_complex(g)
+
+
+def test_the_face_budget_admits_complete_16_and_refuses_complete_17():
+    assert fr.MAX_FACES == 65536
+    assert sum(fr.f_vector(fr.clique_complex(fr.complete(16)))) == 65535
+    # levels 0-7 of K17 hold 65 535 faces; the 24 310 of level 8 are counted, never built
+    over = "^complex of 89845 faces or more is over MAX_FACES = 65536$"
+    with pytest.raises(ValueError, match=over):
+        fr.clique_complex(fr.complete(17))
+
+
+def test_the_level_over_the_budget_is_never_built(monkeypatch):
+    extended = []  # the up-sets that the next level's cliques are read from
+    monkeypatch.setattr(complexes, "iter_bits", lambda up: extended.append(up) or iter_bits(up))
+    monkeypatch.setattr(complexes, "MAX_FACES", 14)
+    with pytest.raises(ValueError, match="^complex of 15 faces or more "):
+        fr.clique_complex(fr.complete(4))
+    assert len(extended) == 4 + 6  # the vertices' and the edges'; no triangle is extended
+
+
+@pytest.mark.parametrize(
+    "g,budget,faces",
+    [
+        (fr.cycle(5), 10, None),  # 5 vertices and 5 edges: exactly the budget
+        (fr.cycle(6), 11, 12),
+        (fr.complete(4), 15, None),  # one face more, the tetrahedron, is refused above
+    ],
+)
+def test_a_tiny_face_budget_refuses_the_level_that_passes_it(monkeypatch, g, budget, faces):
+    monkeypatch.setattr(complexes, "MAX_FACES", budget)
+    if faces is None:
+        assert sum(fr.f_vector(fr.clique_complex(g))) <= budget
+    else:
+        over = f"^complex of {faces} faces or more is over MAX_FACES = {budget}$"
+        with pytest.raises(ValueError, match=over):
+            fr.clique_complex(g)
 
 
 @given(graphs(max_n=8))

@@ -56,18 +56,20 @@ def test_a_passed_nerve_is_a_type_error():
         fr.NerveSystem(g, fr.clique_complex(g))
 
 
-def test_the_dimension_cap_applies_at_construction():
-    with pytest.raises(fr.DimensionCapExceeded, match="^clique on 3 vertices "):
-        fr.NerveSystem(fr.complete(3), max_dim=1)
-    with pytest.raises(fr.DimensionCapExceeded):
-        fr.NerveSystem.from_graph(fr.complete(3), 1)
-    assert fr.NerveSystem(fr.complete(3), max_dim=2).nerve.dimension == 2
+def test_no_dimension_cap_is_taken():
+    # the graph fixes the nerve's dimension; the face budget bounds the build
+    g = fr.complete(3)
+    with pytest.raises(TypeError):
+        fr.NerveSystem(g, max_dim=1)
+    with pytest.raises(TypeError):
+        fr.NerveSystem.from_graph(g, 1)
+    with pytest.raises(TypeError):
+        fr.certify_reconstructible(g, 2)
 
 
 def test_from_graph_builds_the_clique_complex():
     ns = system(fr.cross_polytope(3))
     assert ns.nerve == fr.clique_complex(ns.graph)
-    assert ns.vertices == ns.graph.labels
 
 
 def test_is_spherical_iff_clique():

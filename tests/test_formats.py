@@ -1,10 +1,13 @@
 """graph6 encoding, edge lists, and raw complex files."""
 
+from types import SimpleNamespace
+
 import networkx as nx
 import pytest
 from hypothesis import given
 
 import flagrecon as fr
+from flagrecon import complexes
 from flagrecon.cli import main
 from oracles import graphs, packed_certificate, small_corpus
 
@@ -256,6 +259,33 @@ def test_parse_complex_ends_lines_at_line_feeds_only(sep):
 
 def test_parse_complex_reads_crlf_lines():
     assert fr.parse_complex("a b\r\nb c\r\n") == fr.parse_complex("a b\nb c\n")
+
+
+def test_parse_complex_takes_a_line_of_16_tokens():
+    L = fr.parse_complex(" ".join(f"v{i}" for i in range(16)) + "\n")
+    assert sum(fr.f_vector(L)) == 65535
+
+
+def test_parse_complex_refuses_a_line_of_17_tokens_before_closing_it(monkeypatch):
+    closures = []  # the subface enumerations build_complex starts
+    monkeypatch.setattr(
+        complexes, "itertools", SimpleNamespace(combinations=lambda *a: closures.append(a) or [])
+    )
+    with pytest.raises(ValueError, match="^complex of 131071 faces or more is over MAX_FACES = "):
+        fr.parse_complex(" ".join(f"v{i}" for i in range(17)) + "\n")
+    assert closures == []
+
+
+@pytest.mark.parametrize("budget,admitted", [(10, False), (11, True)])
+def test_overlapping_lines_count_each_face_once(monkeypatch, budget, admitted):
+    # 4 vertices, then 3 edges and a triangle, then 2 more edges and a triangle: 11 faces
+    monkeypatch.setattr(complexes, "MAX_FACES", budget)
+    if admitted:
+        assert fr.f_vector(fr.parse_complex("a b c\nb c d\n")) == (4, 5, 2)
+    else:
+        over = f"^complex of 11 faces or more is over MAX_FACES = {budget}$"
+        with pytest.raises(ValueError, match=over):
+            fr.parse_complex("a b c\nb c d\n")
 
 
 def test_parse_complex_feeds_the_homology_pipeline():

@@ -182,6 +182,14 @@ def test_one_report_computes_each_fact_once(monkeypatch):
     assert counts == expected
 
 
+def test_one_report_decides_irreducibility_once(monkeypatch):
+    # the coxeter section and the lemma-key crosscheck both read NerveSystem.irreducible
+    counts = count_calls(monkeypatch, ["is_irreducible", "complement"])
+    report = analysis_report(fr.cycle(6), source_format="graph6")
+    assert report["coxeter"]["lemma_key"]["applicable"]
+    assert counts == {"is_irreducible": 1, "complement": 1}
+
+
 def test_a_non_pure_report_builds_no_link(monkeypatch):
     # a triangle with a pendant edge: the edge is a facet below the dimension
     g = fr.Graph.from_edges("0123", [("0", "1"), ("1", "2"), ("0", "2"), ("2", "3")])
