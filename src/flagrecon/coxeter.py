@@ -21,7 +21,7 @@ from functools import cached_property
 from typing import Iterable, Iterator
 
 from .complexes import SimplicialComplex, Simplex, clique_complex, full_subcomplex
-from .graphs import Graph, complement, is_connected, iter_bits
+from .graphs import Graph, iter_bits
 from .homology import AbelianGroup, GradedGroups, reduced_cohomology, reduced_homology
 from .manifolds import SphereVerdict, is_generalized_homology_sphere
 
@@ -114,10 +114,18 @@ def is_finite_group(ns: NerveSystem) -> bool:
 
 
 def is_irreducible(ns: NerveSystem) -> bool:
-    """No nontrivial direct-product splitting: the complement graph is connected."""
-    if ns.graph.vertex_count == 0:
+    """No nontrivial direct-product splitting: the complement is connected, searched on bitsets."""
+    adj, full = ns.graph.adj, (1 << ns.graph.vertex_count) - 1
+    if not full:
         raise ValueError("empty vertex set")
-    return is_connected(complement(ns.graph))
+    seen = frontier = 1
+    while frontier:  # the frontier's complement neighbours: outside its common neighbourhood
+        common = full
+        for i in iter_bits(frontier):
+            common &= adj[i]
+        frontier = full & ~common & ~seen
+        seen |= frontier
+    return seen == full
 
 
 def join_decomposition(ns: NerveSystem) -> tuple[tuple[str, ...], tuple[str, ...]]:

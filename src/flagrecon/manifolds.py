@@ -160,17 +160,14 @@ def boundary_of(L: SimplicialComplex, n: int) -> frozenset[str]:
     Interior vertices of a homology n-manifold have vertex links with the
     homology of the (n-1)-sphere; boundary vertices have homologically
     trivial links.  Anything else raises :class:`BoundaryPatternError`.
-    Requires a pure n-dimensional complex.  Up to dimension 2 each vertex
-    link is a graph, read straight off L's edges and triangles; above it
-    the links are built in one pass.
+    Requires a pure n-dimensional complex.  Up to dimension 2 the vertex links
+    are graphs read off L's edges and triangles, purity included (no empty
+    link; at n = 2 no isolated link vertex); above, one pass builds the links.
     """
     if L.dimension == -1:
         raise ValueError("the empty complex has no boundary")
     if n < 0:
         raise ValueError("manifold dimension must be nonnegative")
-    if not is_pure(L, n):
-        raise ValueError(f"complex is not pure of dimension {n}")
-    interior = sphere_homology(n - 1)
     if n <= 2:
         link_vertices: dict[str, list[str]] = {v: [] for v in L.labels}
         for a, b in L.faces(1):
@@ -181,11 +178,19 @@ def boundary_of(L: SimplicialComplex, n: int) -> frozenset[str]:
             link_edges[a].append((b, c))
             link_edges[b].append((a, c))
             link_edges[c].append((a, b))
+        pure = L.dimension == n and all(
+            not n or lv and (n == 1 or len(set().union(*link_edges[v])) == len(lv))
+            for v, lv in link_vertices.items()
+        )
         shapes = [components(link_vertices[v], link_edges[v]) for v in L.labels]
         groups = {s: graph_homology(*s) for s in set(shapes)}
         hs = [groups[s] for s in shapes]
     else:
-        hs = map(reduced_homology, links(L, 0))
+        pure = is_pure(L, n)
+        hs = map(reduced_homology, links(L, 0)) if pure else []
+    if not pure:
+        raise ValueError(f"complex is not pure of dimension {n}")
+    interior = sphere_homology(n - 1)
     out = []
     for v, h in zip(L.labels, hs):
         if h.is_trivial_everywhere:

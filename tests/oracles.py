@@ -40,6 +40,7 @@ from flagrecon import (
     graph_from_canonical_form,
     is_pure,
     links,
+    maximal_simplices,
     reduced_homology,
     smith_normal_form,
     sphere_homology,
@@ -412,6 +413,46 @@ RP2_FACES = [
 def projective_plane() -> SimplicialComplex:
     return build_complex(
         [str(i) for i in range(1, 7)], [[str(v) for v in t] for t in RP2_FACES]
+    )
+
+
+# the 8-vertex dunce hat: contractible, but no face of it is free
+DUNCE_HAT_FACES = "124 127 128 134 135 136 156 178 235 237 238 245 348 367 456 468 678".split()
+
+
+def dunce_hat() -> SimplicialComplex:
+    return build_complex([str(i) for i in range(1, 9)], [list(t) for t in DUNCE_HAT_FACES])
+
+
+def suspension(L: SimplicialComplex) -> SimplicialComplex:
+    """Two cone points over L; each reduced homology group moves up one degree."""
+    poles = ("north", "south")
+    return build_complex(L.labels + poles, [s + (p,) for s in maximal_simplices(L) for p in poles])
+
+
+@st.composite
+def face_list_complexes(draw, max_face: int = 5):
+    """Complexes closed from a few drawn faces of at most ``max_face`` vertices."""
+    labels = [f"u{i}" for i in range(draw(st.integers(1, 8)))]
+    face = st.sets(st.sampled_from(labels), min_size=1, max_size=max_face)
+    faces = draw(st.lists(face, max_size=8))
+    return build_complex(draw(st.permutations(labels)), faces)
+
+
+def unpaired_reduced_homology(L: SimplicialComplex) -> GradedGroups:
+    """Reduced homology from the dense Smith normal form of every whole boundary matrix.
+
+    No cell is paired off and no unit eliminated first, unlike the library.
+    """
+    if L.dimension == -1:
+        return GradedGroups({-1: INTEGERS})
+    degrees = range(-1, L.dimension + 1)
+    f = [1] + [len(level) for level in L.simplices]  # f[k + 1] cells in degree k
+    snf = [smith_normal_form(boundary_matrix(L, k, reduced=(k == 0))) for k in degrees[1:]]
+    rank = [0] + [s.rank for s in snf] + [0]  # rank[k + 1]: the boundary out of degree k
+    torsion = [()] + [tuple(d for d in s.invariant_factors if d > 1) for s in snf] + [()]
+    return GradedGroups(
+        {k: AbelianGroup(f[k + 1] - rank[k + 1] - rank[k + 2], torsion[k + 2]) for k in degrees}
     )
 
 

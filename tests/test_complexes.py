@@ -12,6 +12,7 @@ from flagrecon.graphs import iter_bits
 from oracles import (
     brute_maximal_cliques,
     corpus_complexes,
+    face_list_complexes,
     graphs,
     hub,
     reclosed_full_subcomplex,
@@ -258,13 +259,6 @@ def test_filtered_levels_match_reclosure_on_flag_complexes(g, data):
     g = reordered(g, data.draw(st.permutations(g.labels)))
     subsets = data.draw(st.lists(st.sets(st.sampled_from(g.labels)), max_size=4))
     assert_links_and_subcomplexes_match_reclosure(fr.clique_complex(g), subsets)
-
-
-@st.composite
-def face_list_complexes(draw):
-    labels = [f"u{i}" for i in range(draw(st.integers(1, 8)))]
-    faces = draw(st.lists(st.sets(st.sampled_from(labels), min_size=1, max_size=5), max_size=8))
-    return fr.build_complex(draw(st.permutations(labels)), faces)
 
 
 @given(face_list_complexes(), st.data())

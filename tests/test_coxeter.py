@@ -128,6 +128,11 @@ def test_is_irreducible_known_cases(g, expected):
     assert fr.is_irreducible(system(g)) == expected
 
 
+@given(graphs())
+def test_irreducibility_on_bitsets_matches_the_built_complement(g):
+    assert fr.is_irreducible(system(g)) == fr.is_connected(fr.complement(g))
+
+
 @given(graphs(min_n=2, max_n=8))
 def test_reducible_means_a_join_splitting_exists(g):
     assert (not fr.is_irreducible(system(g))) == (join_split(g) is not None)

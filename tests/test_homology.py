@@ -13,6 +13,8 @@ from flagrecon import homology
 from oracles import (
     corpus_complexes,
     determinant,
+    dunce_hat,
+    face_list_complexes,
     graphs,
     hub,
     identity_matrix,
@@ -24,7 +26,9 @@ from oracles import (
     rational_rank,
     reduced_cohomology_via_cochains,
     smith_transforms,
+    suspension,
     transpose,
+    unpaired_reduced_homology,
 )
 
 # ------------------------------------------------------------ matrix basics
@@ -172,23 +176,26 @@ def dense(m):
     return snf.rank, nonunit_factors(snf)
 
 
+def sparse(rows):
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
+
+
 @settings(max_examples=120)
 @given(st.one_of(matrices(), matrices(max_entry=2)))
 def test_unit_elimination_matches_dense_smith_form(rows):
-    sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
-    assert eliminated(sparse, len(rows[0])) == dense(matrix_from_rows(rows))
+    assert eliminated(sparse(rows), len(rows[0])) == dense(matrix_from_rows(rows))
 
 
 @pytest.mark.parametrize("name,L", corpus_complexes())
 def test_unit_elimination_matches_dense_smith_form_per_degree(name, L):
     for k in range(L.dimension + 2):
-        rows, cols = homology._boundary_rows(L, k, reduced=(k == 0))
-        assert eliminated(rows, cols) == dense(fr.boundary_matrix(L, k, reduced=(k == 0)))
+        m = fr.boundary_matrix(L, k, reduced=(k == 0))
+        assert eliminated(sparse(m.entries), m.cols) == dense(m)
 
 
 def test_projective_plane_torsion_survives_to_the_residual():
-    rows, cols = homology._boundary_rows(projective_plane(), 2)
-    units, residual = homology._eliminate_units(rows, cols)
+    m = fr.boundary_matrix(projective_plane(), 2)
+    units, residual = homology._eliminate_units(sparse(m.entries), m.cols)
     assert residual.rows and residual.cols
     snf = fr.smith_normal_form(residual)
     assert units + snf.rank == 10
@@ -247,6 +254,58 @@ def test_homology_of_random_flag_complexes_matches_oracle_ranks(g):
     h = fr.reduced_homology(L)
     got = {k: h.group(k).rank for k in range(-1, L.dimension + 1) if h.group(k).rank}
     assert got == rational_betti(L)
+
+
+# ------------------------------------------ pairing before any elimination
+
+
+@settings(max_examples=150)
+@given(st.one_of(graphs(max_n=8).map(fr.clique_complex), face_list_complexes()))
+def test_pairing_keeps_every_group_of_random_complexes(L):
+    assert fr.reduced_homology(L) == unpaired_reduced_homology(L)
+
+
+@pytest.mark.parametrize(
+    "L,expected",
+    [
+        (projective_plane(), {1: "Z/2"}),
+        (suspension(projective_plane()), {2: "Z/2"}),
+        (dunce_hat(), {}),  # contractible, with no free face to start a collapse
+        (suspension(dunce_hat()), {}),
+        (fr.clique_complex(fr.torus_grid(5, 5)), {1: "Z^2", 2: "Z"}),
+    ],
+)
+def test_pairing_keeps_every_group_where_cells_are_left(L, expected):
+    assert groups_of(fr.reduced_homology(L)) == expected
+    assert fr.reduced_homology(L) == unpaired_reduced_homology(L)
+
+
+def test_the_torus_leaves_cells_to_eliminate():
+    faces, levels = homology._cells(fr.clique_complex(fr.torus_grid(5, 5)))
+    alive = homology._pair_off(faces)
+    assert [sum(alive[c] for c in level) for level in levels] == [0, 0, 19, 18]
+
+
+def test_a_sphere_pairs_off_whole_and_reaches_no_matrix(monkeypatch):
+    received = []
+
+    def recording(fn, shape):
+        def wrapper(*args):
+            received.append(shape(*args))
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        homology, "_eliminate_units", recording(homology._eliminate_units, lambda rows, cols: rows)
+    )
+    monkeypatch.setattr(
+        homology, "smith_normal_form", recording(homology.smith_normal_form, lambda m: m.entries)
+    )
+    report = fr.analysis_report(fr.cross_polytope(4), source_format="graph6")
+    assert report["certificate"]["verdict"] == "theorem_2"
+    assert groups_of(fr.reduced_homology(fr.clique_complex(fr.cross_polytope(4)))) == {3: "Z"}
+    assert not any(received)
 
 
 # ------------------------------------------- graphs: homology without a matrix

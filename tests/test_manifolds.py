@@ -3,11 +3,19 @@
 from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flagrecon as fr
-from oracles import hub, links_boundary_of, projective_plane, small_corpus, subdivided, suffixed
+from oracles import (
+    face_list_complexes,
+    hub,
+    links_boundary_of,
+    projective_plane,
+    small_corpus,
+    subdivided,
+    suffixed,
+)
 
 
 def bowtie():
@@ -204,6 +212,34 @@ def test_boundary_of_solid_tetrahedron_is_every_vertex():
 def test_boundary_rejects_impure_input():
     with pytest.raises(ValueError):
         fr.boundary_of(fr.clique_complex(fr.path(4)), 2)
+
+
+def not_pure_error(L, n):
+    """True when boundary_of rejects (L, n) as not pure; any other outcome is False."""
+    try:
+        fr.boundary_of(L, n)
+    except ValueError as exc:
+        return "not pure" in str(exc)
+    return False
+
+
+@pytest.mark.parametrize(
+    "faces",
+    [
+        ["abc", "cd"],  # a triangle with a pendant edge
+        ["abc", "d"],  # a triangle and an isolated vertex
+        ["abcd"],  # a solid tetrahedron
+    ],
+)
+def test_boundary_of_rejects_impure_2_complexes_from_their_links(faces):
+    L = fr.build_complex("abcd", [list(f) for f in faces])
+    assert not_pure_error(L, 2)
+
+
+@settings(max_examples=150)
+@given(face_list_complexes(max_face=3), st.integers(0, 2))
+def test_boundary_of_reads_purity_as_is_pure_does(L, n):
+    assert not_pure_error(L, n) == (not fr.is_pure(L, n))
 
 
 def test_boundary_pattern_error_names_the_bad_vertex():

@@ -184,10 +184,11 @@ def test_one_report_computes_each_fact_once(monkeypatch):
 
 def test_one_report_decides_irreducibility_once(monkeypatch):
     # the coxeter section and the lemma-key crosscheck both read NerveSystem.irreducible
+    # and neither builds the complement graph: the search runs on the bitsets
     counts = count_calls(monkeypatch, ["is_irreducible", "complement"])
     report = analysis_report(fr.cycle(6), source_format="graph6")
     assert report["coxeter"]["lemma_key"]["applicable"]
-    assert counts == {"is_irreducible": 1, "complement": 1}
+    assert counts == {"is_irreducible": 1, "complement": 0}
 
 
 def test_a_non_pure_report_builds_no_link(monkeypatch):
@@ -258,9 +259,10 @@ def test_one_report_never_computes_the_homology_of_one_complex_twice(monkeypatch
 
 
 def test_nothing_carries_over_to_the_next_report(monkeypatch):
+    # _cells runs inside reduced_homology, once for each homology computed with cells
     g = fr.torus_grid(5, 5)
-    counts = count_calls(monkeypatch, ["_boundary_rows"])
+    counts = count_calls(monkeypatch, ["_cells"])
     first = analysis_report(g, source_format="graph6")
-    rows = counts["_boundary_rows"]
-    assert rows and analysis_report(g, source_format="graph6") == first
-    assert counts["_boundary_rows"] == 2 * rows
+    computed = counts["_cells"]
+    assert computed and analysis_report(g, source_format="graph6") == first
+    assert counts["_cells"] == 2 * computed
