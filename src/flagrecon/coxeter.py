@@ -71,7 +71,7 @@ class NerveSystem:
     @cached_property
     def sphere(self) -> SphereVerdict:
         """Sphere verdict of the whole nerve; its ``manifold`` is the manifold verdict."""
-        return is_generalized_homology_sphere(self.nerve, self.nerve.dimension)
+        return is_generalized_homology_sphere(self.nerve)
 
     @cached_property
     def homology(self) -> GradedGroups:
@@ -176,7 +176,7 @@ def is_virtual_pd(ns: NerveSystem) -> PDVerdict:
     t0, t1 = join_decomposition(ns)
     if t1:
         core = full_subcomplex(ns.nerve, t0)
-        sphere = is_generalized_homology_sphere(core, core.dimension)
+        sphere = is_generalized_homology_sphere(core)
     else:
         sphere = ns.sphere
     if sphere.is_sphere:

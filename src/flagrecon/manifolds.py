@@ -2,8 +2,8 @@
 
 A complex is a homology n-manifold when it is pure n-dimensional and the
 link of every simplex has the reduced homology of a sphere of complementary
-dimension.  Verdicts carry witnesses on failure and per-dimension counts of
-verified simplices on success.
+dimension; here n is always the complex's own dimension.  Verdicts carry a
+witness on failure and per-dimension counts of verified simplices on success.
 """
 
 from __future__ import annotations
@@ -12,8 +12,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .complexes import Simplex, SimplicialComplex, links
-from .homology import INTEGERS, GradedGroups, components, graph_homology
-from .homology import reduced_homology
+from .homology import INTEGERS, GradedGroups, components, graph_homology, reduced_homology
 
 __all__ = [
     "sphere_homology",
@@ -48,11 +47,16 @@ def maximal_simplices(L: SimplicialComplex) -> list[Simplex]:
     return [s for level in L.simplices for s in level if s not in has_coface]
 
 
-def is_pure(L: SimplicialComplex, n: int) -> bool:
-    """True when every maximal simplex has dimension exactly n."""
+def _first_impure(L: SimplicialComplex) -> Simplex | None:
+    """The first maximal simplex below L's dimension, in storage order, if any."""
+    return next((s for s in maximal_simplices(L) if len(s) <= L.dimension), None)
+
+
+def is_pure(L: SimplicialComplex) -> bool:
+    """True when every maximal simplex has dimension ``L.dimension``."""
     if L.dimension == -1:
         raise ValueError("purity of the empty complex is undefined")
-    return all(len(s) == n + 1 for s in maximal_simplices(L))
+    return _first_impure(L) is None
 
 
 @dataclass
@@ -68,30 +72,29 @@ class ManifoldWitness:
 class ManifoldVerdict:
     is_manifold: bool
     dimension: int
-    witnesses: tuple[ManifoldWitness, ...] = ()
+    witness: ManifoldWitness | None = None
     verified: dict[int, int] | None = None
 
 
-def is_homology_manifold(L: SimplicialComplex, n: int) -> ManifoldVerdict:
-    """Decide whether L is a homology n-manifold.
+def is_homology_manifold(L: SimplicialComplex) -> ManifoldVerdict:
+    """Decide whether L is a homology n-manifold, n = ``L.dimension``.
 
     Checks purity first, then walks every simplex by ascending dimension and
     compares its link's reduced homology against the sphere of complementary
-    dimension.  Stops at the first failure and reports it as a witness.
+    dimension.  Stops at the first failure and reports it as the witness.
     Equal links (antipodes of a cross-polytope) are computed once per walk.
     """
-    if L.dimension == -1:
+    n = L.dimension
+    if n == -1:
         raise ValueError("the empty complex is not tested for manifoldness")
-    if n < 0:
-        raise ValueError("manifold dimension must be nonnegative")
-    for s in maximal_simplices(L):
-        if len(s) - 1 != n:
-            witness = ManifoldWitness(
-                s,
-                GradedGroups({len(s) - 1: INTEGERS}),  # the link of a facet is empty
-                f"maximal simplex of dimension {len(s) - 1} in a complex tested at dimension {n}",
-            )
-            return ManifoldVerdict(False, n, (witness,))
+    s = _first_impure(L)
+    if s is not None:
+        witness = ManifoldWitness(
+            s,
+            GradedGroups({len(s) - 1: INTEGERS}),  # the link of a facet is empty
+            f"maximal simplex of dimension {len(s) - 1} in a complex tested at dimension {n}",
+        )
+        return ManifoldVerdict(False, n, witness)
     seen: dict[SimplicialComplex, GradedGroups] = {}
     for k, level in enumerate(L.simplices):
         expected = sphere_homology(n - k - 1)
@@ -103,9 +106,9 @@ def is_homology_manifold(L: SimplicialComplex, n: int) -> ManifoldVerdict:
                     link_hom.shifted(k + 1),
                     f"link homology differs from the {n - k - 1}-sphere",
                 )
-                return ManifoldVerdict(False, n, (witness,))
+                return ManifoldVerdict(False, n, witness)
     counts = {k: len(level) for k, level in enumerate(L.simplices)}
-    return ManifoldVerdict(True, n, (), counts)
+    return ManifoldVerdict(True, n, None, counts)
 
 
 @dataclass
@@ -119,21 +122,17 @@ class SphereVerdict:
     detail: str = ""
 
 
-def is_generalized_homology_sphere(L: SimplicialComplex, n: int) -> SphereVerdict:
-    """Homology n-manifold with the homology of the n-sphere.
+def is_generalized_homology_sphere(L: SimplicialComplex) -> SphereVerdict:
+    """Homology n-manifold with the homology of the n-sphere, n = ``L.dimension``.
 
-    The empty complex is the (-1)-sphere: (L = empty, n = -1) passes as a
-    special case; the empty complex at any other dimension is an error.
+    The empty complex is the (-1)-sphere.
     """
-    if L.dimension == -1:
-        if n == -1:
-            return SphereVerdict(
-                True, -1, None, reduced_homology(L), "the empty complex is the (-1)-sphere"
-            )
-        raise ValueError("the empty complex is a sphere only at dimension -1")
-    if n < 0:
-        raise ValueError("nonempty complexes need sphere dimension >= 0")
-    verdict = is_homology_manifold(L, n)
+    n = L.dimension
+    if n == -1:
+        return SphereVerdict(
+            True, -1, None, reduced_homology(L), "the empty complex is the (-1)-sphere"
+        )
+    verdict = is_homology_manifold(L)
     if not verdict.is_manifold:
         return SphereVerdict(False, n, verdict, None, "not a homology manifold")
     hom = reduced_homology(L)
@@ -154,20 +153,19 @@ class BoundaryPatternError(ValueError):
         self.local_homology = local
 
 
-def boundary_of(L: SimplicialComplex, n: int) -> frozenset[str]:
+def boundary_of(L: SimplicialComplex) -> frozenset[str]:
     """Vertices whose local homology is entirely trivial (the boundary pattern).
 
-    Interior vertices of a homology n-manifold have vertex links with the
-    homology of the (n-1)-sphere; boundary vertices have homologically
-    trivial links.  Anything else raises :class:`BoundaryPatternError`.
-    Requires a pure n-dimensional complex.  Up to dimension 2 the vertex links
-    are graphs read off L's edges and triangles, purity included (no empty
-    link; at n = 2 no isolated link vertex); above, one pass builds the links.
+    Interior vertices of a homology n-manifold (n = ``L.dimension``, and L
+    must be pure) have vertex links with the homology of the (n-1)-sphere;
+    boundary vertices have homologically trivial links.  Anything else raises
+    :class:`BoundaryPatternError`.  Up to dimension 2 the vertex links are
+    graphs read off L's edges and triangles, purity included (no empty link;
+    at n = 2 no isolated link vertex); above, one pass builds the links.
     """
-    if L.dimension == -1:
+    n = L.dimension
+    if n == -1:
         raise ValueError("the empty complex has no boundary")
-    if n < 0:
-        raise ValueError("manifold dimension must be nonnegative")
     if n <= 2:
         link_vertices: dict[str, list[str]] = {v: [] for v in L.labels}
         for a, b in L.faces(1):
@@ -178,7 +176,7 @@ def boundary_of(L: SimplicialComplex, n: int) -> frozenset[str]:
             link_edges[a].append((b, c))
             link_edges[b].append((a, c))
             link_edges[c].append((a, b))
-        pure = L.dimension == n and all(
+        pure = all(
             not n or lv and (n == 1 or len(set().union(*link_edges[v])) == len(lv))
             for v, lv in link_vertices.items()
         )
@@ -186,7 +184,7 @@ def boundary_of(L: SimplicialComplex, n: int) -> frozenset[str]:
         groups = {s: graph_homology(*s) for s in set(shapes)}
         hs = [groups[s] for s in shapes]
     else:
-        pure = is_pure(L, n)
+        pure = is_pure(L)
         hs = map(reduced_homology, links(L, 0)) if pure else []
     if not pure:
         raise ValueError(f"complex is not pure of dimension {n}")

@@ -148,14 +148,18 @@ def reconstruct_from_card(card: Graph, n: int) -> Graph:
     Deleting a vertex punches a hole whose rim is exactly the deleted
     vertex's neighbourhood: in the card's clique complex those are the
     vertices whose local homology has gone trivial.  The lost vertex is
-    reattached along that rim.  The card's clique complex then has dimension
-    n too, so n caps its cliques: a clique on n + 2 vertices raises
-    :class:`DimensionCapExceeded` before any larger one is built.  If the
-    card does not have the expected shape, the boundary scan raises.
+    reattached along that rim.  The card's clique complex has dimension n
+    too: n caps its cliques, so a clique on n + 2 vertices raises
+    :class:`DimensionCapExceeded` before any larger one is built, and a lower
+    dimension raises ``ValueError``.  A card of any other shape fails the
+    boundary scan.
     """
     if n < 1:
         raise ValueError("card recovery needs manifold dimension n >= 1")
-    rim = boundary_of(clique_complex(card, n), n)
+    L = clique_complex(card, n)
+    if L.dimension != n:
+        raise ValueError(f"the card's clique complex has dimension {L.dimension}, not {n}")
+    rim = boundary_of(L)
     label = _fresh_label(card.labels)
     edges = card.edges() + [(label, v) for v in sorted(rim, key=card.index)]
     return Graph.from_edges(card.labels + (label,), edges)

@@ -60,15 +60,12 @@ def _manifold_payload(v: ManifoldVerdict | None) -> dict[str, Any] | None:
     if v is None:
         return None
     payload: dict[str, Any] = {"is_manifold": v.is_manifold, "dimension": v.dimension}
-    if v.witnesses:
-        w = v.witnesses[0]
-        payload["witness"] = {
-            "simplex": list(w.simplex),
-            "local_homology": _graded_payload(w.local_homology, w.local_homology.by_degree),
-            "detail": w.detail,
-        }
-    else:
-        payload["witness"] = None
+    w = v.witness
+    payload["witness"] = None if w is None else {
+        "simplex": list(w.simplex),
+        "local_homology": _graded_payload(w.local_homology, w.local_homology.by_degree),
+        "detail": w.detail,
+    }
     payload["verified_simplices"] = (
         {str(k): c for k, c in sorted(v.verified.items())} if v.verified else None
     )

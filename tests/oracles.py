@@ -338,17 +338,16 @@ def subdivided(g: Graph, steps: int, seed: int) -> Graph:
     return Graph.from_edges(list(adj), [(a, b) for a in adj for b in adj[a] if a < b])
 
 
-def links_boundary_of(L: SimplicialComplex, n: int) -> frozenset[str]:
+def links_boundary_of(L: SimplicialComplex) -> frozenset[str]:
     """``boundary_of`` over built vertex links, in every dimension.
 
     The library's former route: ``links(L, 0)`` builds every vertex link,
     and ``reduced_homology`` computes each one.
     """
-    if L.dimension == -1:
+    n = L.dimension
+    if n == -1:
         raise ValueError("the empty complex has no boundary")
-    if n < 0:
-        raise ValueError("manifold dimension must be nonnegative")
-    if not is_pure(L, n):
+    if not is_pure(L):
         raise ValueError(f"complex is not pure of dimension {n}")
     interior = sphere_homology(n - 1)
     out = []

@@ -112,23 +112,22 @@ def test_criterion_3_the_manifold_and_sphere_table_is_exact():
         checks.append(bool(condition))
 
     for n in range(4, 10):
-        s = fr.is_generalized_homology_sphere(fr.clique_complex(fr.cycle(n)), 1)
+        s = fr.is_generalized_homology_sphere(fr.clique_complex(fr.cycle(n)))
         expect(s.is_sphere and s.dimension == 1)
     for k in (2, 3, 4):
-        s = fr.is_generalized_homology_sphere(
-            fr.clique_complex(fr.cross_polytope(k)), k - 1
-        )
+        s = fr.is_generalized_homology_sphere(fr.clique_complex(fr.cross_polytope(k)))
         expect(s.is_sphere and s.dimension == k - 1)
     for dims in ((4, 4), (5, 5)):
         L = fr.clique_complex(fr.torus_grid(*dims))
-        expect(fr.is_homology_manifold(L, 2).is_manifold)
-        expect(not fr.is_generalized_homology_sphere(L, 2).is_sphere)
+        expect(fr.is_homology_manifold(L).is_manifold)
+        expect(not fr.is_generalized_homology_sphere(L).is_sphere)
 
     def expect_failing_witness(g: fr.Graph, n: int) -> fr.ManifoldVerdict:
         L = fr.clique_complex(g)
-        verdict = fr.is_homology_manifold(L, n)
-        expect(not verdict.is_manifold and len(verdict.witnesses) >= 1)
-        w = verdict.witnesses[0]
+        verdict = fr.is_homology_manifold(L)
+        expect(not verdict.is_manifold and verdict.witness is not None)
+        expect(verdict.dimension == n)
+        w = verdict.witness
         # the witness must genuinely fail the interior pattern, which for an
         # n-manifold is local homology Z concentrated in degree n
         local = fr.local_homology(L, w.simplex).nontrivial()
@@ -137,12 +136,12 @@ def test_criterion_3_the_manifold_and_sphere_table_is_exact():
         return verdict
 
     v = expect_failing_witness(fr.complete(4), 3)
-    expect(v.witnesses[0].simplex in {("0",), ("1",), ("2",), ("3",)})
+    expect(v.witness.simplex in {("0",), ("1",), ("2",), ("3",)})
     v = expect_failing_witness(fr.path(4), 1)
-    expect(v.witnesses[0].simplex in {("0",), ("3",)})
+    expect(v.witness.simplex in {("0",), ("3",)})
     hub = fr.Graph.from_edges(["h"], [])
     v = expect_failing_witness(fr.join(fr.cycle(4), hub), 2)
-    expect(all(w.simplex != ("h",) for w in v.witnesses))
+    expect(v.witness.simplex != ("h",))
 
     ok = all(checks)
     bad = len(checks) - sum(checks)

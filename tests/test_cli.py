@@ -167,9 +167,10 @@ class TestReconstruct:
         assert exc.value.code == 2
 
     def test_wrong_dimension_exits_two(self, monkeypatch, capsys):
+        # DDW is the path on five vertices, whose clique complex has dimension 1
         code, out, err = run(monkeypatch, capsys, ["reconstruct", "--dim", "2"], stdin="DDW")
-        assert code == 2
-        assert err.startswith("error:")
+        assert (code, out) == (2, "")
+        assert err == "error: the card's clique complex has dimension 1, not 2\n"
 
     def test_a_clique_past_the_dimension_exits_two(self, monkeypatch, capsys):
         k7 = fr.emit_graph6(fr.complete(7))

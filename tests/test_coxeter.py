@@ -215,7 +215,8 @@ def test_two_universal_vertices_still_give_a_duality_group():
 def test_homology_spheres_are_never_cones(g, n):
     # peeling exactly the universal set is sound because a nonempty
     # generalized homology sphere has no cone vertex
-    assert fr.is_generalized_homology_sphere(fr.clique_complex(g), n).is_sphere
+    sphere = fr.is_generalized_homology_sphere(fr.clique_complex(g))
+    assert sphere.is_sphere and sphere.dimension == n
     core, factor = fr.join_decomposition(system(g))
     assert factor == ()
 

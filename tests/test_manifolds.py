@@ -65,15 +65,21 @@ def test_maximal_simplices_of_octahedron():
     assert len(ms) == 8 and all(len(s) == 3 for s in ms)
 
 
+def paw():
+    """Triangle abc with a pendant edge cd: a 2-complex that is not pure."""
+    return fr.Graph.from_edges("abcd", [("a", "b"), ("a", "c"), ("b", "c"), ("c", "d")])
+
+
 def test_is_pure():
-    assert fr.is_pure(fr.clique_complex(fr.cross_polytope(3)), 2)
-    assert fr.is_pure(fr.clique_complex(bowtie()), 2)
+    assert fr.is_pure(fr.clique_complex(fr.cross_polytope(3)))
+    assert fr.is_pure(fr.clique_complex(bowtie()))
+    assert fr.is_pure(fr.clique_complex(fr.cycle(4)))
     # a dangling edge breaks purity at 2
     mixed = fr.disjoint_union(fr.complete(3), fr.path(2).relabel({"0": "a", "1": "b"}))
-    assert not fr.is_pure(fr.clique_complex(mixed), 2)
-    assert not fr.is_pure(fr.clique_complex(fr.cycle(4)), 2)
+    assert not fr.is_pure(fr.clique_complex(mixed))
+    assert not fr.is_pure(fr.clique_complex(paw()))
     with pytest.raises(ValueError):
-        fr.is_pure(fr.clique_complex(fr.Graph((), ())), 0)
+        fr.is_pure(fr.clique_complex(fr.Graph((), ())))
 
 
 # ------------------------------------------------------- manifold verdicts
@@ -82,84 +88,87 @@ def test_is_pure():
 @pytest.mark.parametrize("n", range(4, 10))
 def test_cycles_are_homology_circles(n):
     L = fr.clique_complex(fr.cycle(n))
-    assert fr.is_homology_manifold(L, 1).is_manifold
-    assert fr.is_generalized_homology_sphere(L, 1).is_sphere
+    assert fr.is_homology_manifold(L).is_manifold
+    assert fr.is_generalized_homology_sphere(L).is_sphere
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_cross_polytopes_are_homology_spheres(k):
     L = fr.clique_complex(fr.cross_polytope(k))
-    verdict = fr.is_generalized_homology_sphere(L, k - 1)
+    verdict = fr.is_generalized_homology_sphere(L)
     assert verdict.is_sphere and verdict.dimension == k - 1
 
 
 def test_icosahedron_is_a_homology_2_sphere():
     L = fr.clique_complex(fr.icosahedron())
-    assert fr.is_generalized_homology_sphere(L, 2).is_sphere
+    assert fr.is_generalized_homology_sphere(L).is_sphere
 
 
 @pytest.mark.parametrize("p,q", [(4, 4), (5, 5)])
 def test_torus_grid_is_a_manifold_but_not_a_sphere(p, q):
     L = fr.clique_complex(fr.torus_grid(p, q))
-    mv = fr.is_homology_manifold(L, 2)
-    assert mv.is_manifold and not mv.witnesses
-    sv = fr.is_generalized_homology_sphere(L, 2)
+    mv = fr.is_homology_manifold(L)
+    assert mv.is_manifold and mv.witness is None
+    sv = fr.is_generalized_homology_sphere(L)
     assert not sv.is_sphere
 
 
 def test_manifold_verdict_counts_verified_simplices():
     L = fr.clique_complex(fr.torus_grid(4, 4))
-    mv = fr.is_homology_manifold(L, 2)
+    mv = fr.is_homology_manifold(L)
     assert mv.verified == {0: 16, 1: 48, 2: 32}
 
 
 def test_solid_tetrahedron_fails_at_its_vertices():
-    verdict = fr.is_homology_manifold(fr.clique_complex(fr.complete(4)), 3)
-    assert not verdict.is_manifold
-    w = verdict.witnesses[0]
+    verdict = fr.is_homology_manifold(fr.clique_complex(fr.complete(4)))
+    assert not verdict.is_manifold and verdict.dimension == 3
+    w = verdict.witness
     assert len(w.simplex) == 1  # a vertex, whose link is a solid triangle
     assert set(w.local_homology.nontrivial()) == set()
 
 
 def test_path_fails_at_an_endpoint():
-    verdict = fr.is_homology_manifold(fr.clique_complex(fr.path(4)), 1)
-    assert not verdict.is_manifold
-    assert verdict.witnesses[0].simplex in (("0",), ("3",))
+    verdict = fr.is_homology_manifold(fr.clique_complex(fr.path(4)))
+    assert not verdict.is_manifold and verdict.dimension == 1
+    assert verdict.witness.simplex in (("0",), ("3",))
 
 
 def test_wheel_fails_at_a_rim_vertex():
-    verdict = fr.is_homology_manifold(fr.clique_complex(wheel()), 2)
+    verdict = fr.is_homology_manifold(fr.clique_complex(wheel()))
     assert not verdict.is_manifold
-    assert verdict.witnesses[0].simplex != ("h",)  # hub is interior, rim fails first
+    assert verdict.witness.simplex != ("h",)  # hub is interior, rim fails first
 
 
 def test_bowtie_pinch_vertex_is_the_witness():
-    verdict = fr.is_homology_manifold(fr.clique_complex(bowtie()), 2)
+    verdict = fr.is_homology_manifold(fr.clique_complex(bowtie()))
     assert not verdict.is_manifold
-    w = verdict.witnesses[0]
+    w = verdict.witness
     assert w.simplex == ("0",)
     # link is two disjoint edges: one extra component, shifted to degree 1
     assert {k: str(g) for k, g in w.local_homology.nontrivial().items()} == {1: "Z"}
 
 
 def test_impurity_is_already_a_failure():
-    L = fr.clique_complex(fr.cycle(4))
-    verdict = fr.is_homology_manifold(L, 2)
-    assert not verdict.is_manifold
+    # the pendant edge cd is a maximal simplex below the paw's dimension 2;
+    # its link is empty, so its local homology is Z in degree 1
+    verdict = fr.is_homology_manifold(fr.clique_complex(paw()))
+    assert not verdict.is_manifold and verdict.dimension == 2
+    w = verdict.witness
+    assert w.simplex == ("c", "d")
+    assert w.local_homology.nontrivial() == {1: fr.INTEGERS}
+    assert w.detail == "maximal simplex of dimension 1 in a complex tested at dimension 2"
 
 
 def test_disconnected_union_of_circles_is_still_a_manifold():
     g = fr.disjoint_union(fr.cycle(4), fr.cycle(5).relabel({str(i): f"b{i}" for i in range(5)}))
     L = fr.clique_complex(g)
-    assert fr.is_homology_manifold(L, 1).is_manifold
-    assert not fr.is_generalized_homology_sphere(L, 1).is_sphere  # two components
+    assert fr.is_homology_manifold(L).is_manifold
+    assert not fr.is_generalized_homology_sphere(L).is_sphere  # two components
 
 
 def test_manifold_check_rejects_bad_input():
     with pytest.raises(ValueError):
-        fr.is_homology_manifold(fr.clique_complex(fr.Graph((), ())), 0)
-    with pytest.raises(ValueError):
-        fr.is_homology_manifold(fr.clique_complex(fr.cycle(4)), -1)
+        fr.is_homology_manifold(fr.clique_complex(fr.Graph((), ())))
 
 
 # ------------------------------------------------------------ sphere edge
@@ -167,23 +176,12 @@ def test_manifold_check_rejects_bad_input():
 
 def test_empty_complex_is_the_minus_one_sphere():
     L = fr.clique_complex(fr.Graph((), ()))
-    verdict = fr.is_generalized_homology_sphere(L, -1)
+    verdict = fr.is_generalized_homology_sphere(L)
     assert verdict.is_sphere and verdict.dimension == -1
 
 
-def test_empty_complex_at_other_dimensions_rejected():
-    L = fr.clique_complex(fr.Graph((), ()))
-    with pytest.raises(ValueError):
-        fr.is_generalized_homology_sphere(L, 0)
-
-
-def test_nonempty_complex_at_negative_dimension_rejected():
-    with pytest.raises(ValueError):
-        fr.is_generalized_homology_sphere(fr.clique_complex(fr.cycle(4)), -1)
-
-
 def test_sphere_verdict_carries_the_homology():
-    sv = fr.is_generalized_homology_sphere(fr.clique_complex(fr.torus_grid(4, 4)), 2)
+    sv = fr.is_generalized_homology_sphere(fr.clique_complex(fr.torus_grid(4, 4)))
     assert not sv.is_sphere
     assert sv.manifold.is_manifold  # failed on homology, not locality
     assert sv.homology is not None
@@ -193,31 +191,31 @@ def test_sphere_verdict_carries_the_homology():
 
 
 def test_boundary_of_wheel_is_the_rim():
-    assert fr.boundary_of(fr.clique_complex(wheel()), 2) == frozenset("0123")
+    assert fr.boundary_of(fr.clique_complex(wheel())) == frozenset("0123")
 
 
 def test_boundary_of_path_is_its_endpoints():
-    assert fr.boundary_of(fr.clique_complex(fr.path(4)), 1) == frozenset({"0", "3"})
+    assert fr.boundary_of(fr.clique_complex(fr.path(4))) == frozenset({"0", "3"})
 
 
 def test_closed_manifolds_have_empty_boundary():
-    assert fr.boundary_of(fr.clique_complex(fr.cross_polytope(3)), 2) == frozenset()
-    assert fr.boundary_of(fr.clique_complex(fr.cycle(6)), 1) == frozenset()
+    assert fr.boundary_of(fr.clique_complex(fr.cross_polytope(3))) == frozenset()
+    assert fr.boundary_of(fr.clique_complex(fr.cycle(6))) == frozenset()
 
 
 def test_boundary_of_solid_tetrahedron_is_every_vertex():
-    assert fr.boundary_of(fr.clique_complex(fr.complete(4)), 3) == frozenset("0123")
+    assert fr.boundary_of(fr.clique_complex(fr.complete(4))) == frozenset("0123")
 
 
 def test_boundary_rejects_impure_input():
-    with pytest.raises(ValueError):
-        fr.boundary_of(fr.clique_complex(fr.path(4)), 2)
+    with pytest.raises(ValueError, match="^complex is not pure of dimension 2$"):
+        fr.boundary_of(fr.clique_complex(paw()))
 
 
-def not_pure_error(L, n):
-    """True when boundary_of rejects (L, n) as not pure; any other outcome is False."""
+def not_pure_error(L):
+    """True when boundary_of rejects L as not pure; any other outcome is False."""
     try:
-        fr.boundary_of(L, n)
+        fr.boundary_of(L)
     except ValueError as exc:
         return "not pure" in str(exc)
     return False
@@ -228,41 +226,39 @@ def not_pure_error(L, n):
     [
         ["abc", "cd"],  # a triangle with a pendant edge
         ["abc", "d"],  # a triangle and an isolated vertex
-        ["abcd"],  # a solid tetrahedron
+        ["abc", "cde", "ae"],  # two triangles and an edge between them, in neither
     ],
 )
 def test_boundary_of_rejects_impure_2_complexes_from_their_links(faces):
-    L = fr.build_complex("abcd", [list(f) for f in faces])
-    assert not_pure_error(L, 2)
+    L = fr.build_complex(sorted(set("".join(faces))), [list(f) for f in faces])
+    assert L.dimension == 2 and not_pure_error(L)
 
 
 @settings(max_examples=150)
-@given(face_list_complexes(max_face=3), st.integers(0, 2))
-def test_boundary_of_reads_purity_as_is_pure_does(L, n):
-    assert not_pure_error(L, n) == (not fr.is_pure(L, n))
+@given(face_list_complexes(max_face=3))
+def test_boundary_of_reads_purity_as_is_pure_does(L):
+    assert not_pure_error(L) == (not fr.is_pure(L))
 
 
 def test_boundary_pattern_error_names_the_bad_vertex():
     with pytest.raises(fr.BoundaryPatternError) as exc:
-        fr.boundary_of(fr.clique_complex(bowtie()), 2)
+        fr.boundary_of(fr.clique_complex(bowtie()))
     assert exc.value.vertex == "0"
     assert set(exc.value.local_homology.nontrivial()) == {1}
 
 
-def test_boundary_rejects_empty_and_negative():
+def test_boundary_rejects_the_empty_complex():
     with pytest.raises(ValueError):
-        fr.boundary_of(fr.clique_complex(fr.Graph((), ())), 1)
-    with pytest.raises(ValueError):
-        fr.boundary_of(fr.clique_complex(fr.cycle(4)), -1)
+        fr.boundary_of(fr.clique_complex(fr.Graph((), ())))
 
 
 # ------------------------------------------------- rims vs. the links oracle
 
 
-def rim(boundary, L, n):
+def rim(boundary, L):
     """The boundary; or the vertex, groups and message of a pattern error; or a refusal."""
     try:
-        return boundary(L, n)
+        return boundary(L)
     except fr.BoundaryPatternError as exc:
         return exc.vertex, exc.local_homology, str(exc)
     except ValueError as exc:
@@ -308,30 +304,32 @@ NONFLAG_RIMS = [
     (HOLLOW_TETRAHEDRON + "\na e f\na f g\na e g\ne f g", 2),  # two spheres pinched at a
     ("a b c\na b d\na b e", 2),  # three triangles on one edge
     ("a\nb\nc", 0),
-    ("a b c\na b d\na c d\nb c d", 1),  # impure at dimension 1
+    ("a b c\na b d\nc e", 2),  # not pure: the edge ce lies in no triangle
 ]
 
 
 @pytest.mark.parametrize("L,n", FLAG_RIMS)
 def test_boundary_of_flag_complexes_matches_the_links_oracle(L, n):
-    assert rim(fr.boundary_of, L, n) == rim(links_boundary_of, L, n)
+    assert L.dimension == n
+    assert rim(fr.boundary_of, L) == rim(links_boundary_of, L)
 
 
 @pytest.mark.parametrize("text,n", NONFLAG_RIMS)
 def test_boundary_of_complexes_from_face_lists_matches_the_links_oracle(text, n):
     L = fr.parse_complex(text)
-    assert rim(fr.boundary_of, L, n) == rim(links_boundary_of, L, n)
+    assert L.dimension == n
+    assert rim(fr.boundary_of, L) == rim(links_boundary_of, L)
 
 
 def test_the_rim_of_a_moebius_band_is_the_removed_face():
     removed = RP2.rsplit("\n", 1)[1].split()
-    assert fr.boundary_of(fr.parse_complex(without_last_face(RP2)), 2) == frozenset(removed)
+    assert fr.boundary_of(fr.parse_complex(without_last_face(RP2))) == frozenset(removed)
 
 
 def test_a_pinch_of_two_spheres_is_reported_with_its_groups():
     L = fr.parse_complex(HOLLOW_TETRAHEDRON + "\na e f\na f g\na e g\ne f g")
     with pytest.raises(fr.BoundaryPatternError) as exc:
-        fr.boundary_of(L, 2)
+        fr.boundary_of(L)
     assert exc.value.vertex == "a"
     assert exc.value.local_homology.nontrivial() == {1: fr.AbelianGroup(1), 2: fr.AbelianGroup(2)}
 
@@ -342,4 +340,5 @@ PURE_2_COMPLEXES = st.sets(st.sampled_from(list(combinations("abcdef", 3))), min
 @given(PURE_2_COMPLEXES)
 def test_boundary_of_every_pure_2_complex_matches_the_links_oracle(faces):
     L = fr.parse_complex("\n".join(" ".join(f) for f in sorted(faces)))
-    assert rim(fr.boundary_of, L, 2) == rim(links_boundary_of, L, 2)
+    assert L.dimension == 2
+    assert rim(fr.boundary_of, L) == rim(links_boundary_of, L)

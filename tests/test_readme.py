@@ -1,9 +1,11 @@
-"""README.md's command line section says what the commands do.
+"""README.md's command line section says what the commands do, and its
+library block runs.
 
 Each ``$ flagrecon ...`` line runs in process through ``main``, one pipeline
 stage at a time, each stage reading the previous stage's output; the final
 output must equal the lines shown under the command.  The flags the section
-names are the parser's flags.
+names are the parser's flags.  The python block under ``## Library`` runs
+as it stands, so a changed signature fails here.
 """
 
 import argparse
@@ -51,11 +53,23 @@ def test_readme_transcript_matches_the_cli(monkeypatch, capsys, command, expecte
     assert out == expected
 
 
-def command_line_section() -> str:
+def section(title: str) -> str:
     text = README.read_text()
-    start = text.index("\n## Command line\n")
+    start = text.index(f"\n## {title}\n")
     end = text.find("\n## ", start + 1)
     return text[start : end if end >= 0 else len(text)]
+
+
+def command_line_section() -> str:
+    return section("Command line")
+
+
+def test_the_library_block_runs():
+    text = section("Library")
+    start = text.index("```python\n") + len("```python\n")
+    code = text[start : text.index("```", start)]
+    assert "import flagrecon" in code
+    exec(compile(code, "README.md", "exec"), {})
 
 
 def subcommand_options() -> dict[str, set[str]]:

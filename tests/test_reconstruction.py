@@ -204,7 +204,7 @@ def test_card_boundary_is_the_lost_neighbourhood(g, n):
     # of the punctured complex; this is what makes reconstruction work
     for v in g.labels:
         card = fr.vertex_deleted(g, v)
-        rim = fr.boundary_of(fr.clique_complex(card), n)
+        rim = fr.boundary_of(fr.clique_complex(card))
         assert rim == frozenset(g.neighbors(v))
 
 
@@ -214,7 +214,7 @@ def test_reconstruction_attaches_one_fresh_vertex():
     new = set(rebuilt.labels) - set(card.labels)
     assert len(new) == 1
     v = new.pop()
-    assert set(rebuilt.neighbors(v)) == set(fr.boundary_of(fr.clique_complex(card), 1))
+    assert set(rebuilt.neighbors(v)) == set(fr.boundary_of(fr.clique_complex(card)))
 
 
 def test_fresh_label_avoids_collisions():
@@ -228,10 +228,22 @@ def test_fresh_label_avoids_collisions():
 
 def test_reconstruction_rejects_wrong_dimension():
     card = fr.vertex_deleted(fr.cycle(5), "0")
-    with pytest.raises(ValueError):
-        fr.reconstruct_from_card(card, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^card recovery needs manifold dimension n >= 1$"):
         fr.reconstruct_from_card(card, 0)
+
+
+@pytest.mark.parametrize(
+    "card,n,dim",
+    [
+        (fr.vertex_deleted(fr.cycle(5), "0"), 2, 1),
+        (fr.vertex_deleted(fr.complete(1), "0"), 1, -1),  # the empty card of K1
+    ],
+)
+def test_a_card_below_the_manifold_dimension_is_refused_by_both_dimensions(card, n, dim):
+    message = f"the card's clique complex has dimension {dim}, not {n}"
+    with pytest.raises(ValueError) as exc:
+        fr.reconstruct_from_card(card, n)
+    assert str(exc.value) == message
 
 
 def test_card_cliques_are_capped_at_the_manifold_dimension():

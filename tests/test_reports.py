@@ -8,7 +8,7 @@ import pytest
 
 import flagrecon as fr
 from flagrecon.reports import analysis_report, report_json, report_schema
-from oracles import small_corpus, subdivided
+from oracles import small_corpus, subdivided, suffixed
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -200,6 +200,17 @@ def test_a_non_pure_report_builds_no_link(monkeypatch):
     assert counts == {"link": 0, "links": 0}
 
 
+def test_a_non_pure_report_names_the_facet_below_the_dimension():
+    # the paw: triangle abc and the pendant edge cd, whose empty link gives Z in degree 1
+    g = fr.Graph.from_edges("abcd", [("a", "b"), ("a", "c"), ("b", "c"), ("c", "d")])
+    report = analysis_report(g, source_format="graph6")
+    assert report["manifold"]["witness"] == {
+        "simplex": ["c", "d"],
+        "local_homology": [{"degree": 1, "rank": 1, "torsion": []}],
+        "detail": "maximal simplex of dimension 1 in a complex tested at dimension 2",
+    }
+
+
 @pytest.mark.parametrize(
     "g,subsets,built",
     [
@@ -230,6 +241,23 @@ def test_card_recovery_in_dimension_3_builds_the_vertex_links_in_one_pass(monkey
     counts = count_calls(monkeypatch, ["clique_complex", "build_complex", "link", "links"])
     assert fr.are_isomorphic(fr.reconstruct_from_card(card, 3), g)
     assert counts == {"clique_complex": 1, "build_complex": 0, "link": 0, "links": 1}
+
+
+@pytest.mark.parametrize(
+    "g,n",
+    [
+        (fr.join(fr.cycle(5), suffixed(fr.cycle(5), "'")), 3),
+        (fr.cross_polytope(4), 3),
+        (fr.cross_polytope(5), 4),
+    ],
+    ids=["C5*C5", "cross4", "cross5"],
+)
+def test_card_recovery_above_dimension_2_reaches_no_matrix(monkeypatch, g, n):
+    # every vertex link of a card is a sphere or a disc, which pairs off whole
+    counts = count_calls(monkeypatch, ["_eliminate_units", "smith_normal_form"])
+    for v in g.labels:
+        assert fr.are_isomorphic(fr.reconstruct_from_card(fr.vertex_deleted(g, v), n), g)
+    assert counts == {"_eliminate_units": 0, "smith_normal_form": 0}
 
 
 @pytest.mark.parametrize(
