@@ -23,6 +23,7 @@ from typing import Iterable, Iterator
 from .complexes import SimplicialComplex, Simplex, clique_complex, full_subcomplex
 from .graphs import Graph, iter_bits
 from .homology import AbelianGroup, GradedGroups, reduced_cohomology, reduced_homology
+from .homology import universal_coefficients
 from .manifolds import SphereVerdict, is_generalized_homology_sphere
 
 __all__ = [
@@ -199,18 +200,23 @@ class Condition3Result:
     subsets_checked: int
 
 
-def _dismantled(adj: tuple[int, ...], w: int) -> int:
-    """Core of the graph induced on bitset ``w``: v goes while a neighbour u
-    has N[v] & w inside N[u]; only a deleted vertex's neighbours can become
-    dominated, so only they are examined again."""
+def _dismantled(closed: list[int], w: int) -> int:
+    """Core of the graph induced on bitset ``w``, given rows ``closed[i] = adj[i] | 1 << i``:
+    v goes, top bit first, while a neighbour u has ``closed[v] & w & ~closed[u] == 0``;
+    only a deleted vertex's neighbours can become dominated, so only they are examined again."""
     todo = w
     while todo:
         v = todo.bit_length() - 1
         todo ^= 1 << v
-        nbrs = adj[v] & w
-        if any(not (nbrs | 1 << v) & ~(adj[u] | 1 << u) for u in iter_bits(nbrs)):
-            w ^= 1 << v
-            todo |= nbrs
+        cv = closed[v] & w
+        nbrs = rest = cv ^ 1 << v
+        while rest:
+            u = rest.bit_length() - 1
+            if not cv & ~closed[u]:
+                w ^= 1 << v
+                todo |= nbrs
+                break
+            rest ^= 1 << u
     return w
 
 
@@ -220,15 +226,18 @@ def _complement_cohomologies(ns: NerveSystem) -> Iterator[tuple[Simplex, GradedG
 
     The groups are computed on the core of W, which has the same homotopy
     type: a vertex whose closed neighbourhood in W lies in a neighbour's has
-    a cone for its link, and deleting it is a strong collapse.  A one-vertex
-    core is contractible and nothing is built; the empty W of T = V still
-    gives Z in degree -1.  Each core's groups are computed once per sweep.
+    a cone for its link, and deleting it is a strong collapse; T and W are
+    bitsets, tested against closed neighbourhood rows built once per sweep.
+    A one-vertex core is contractible and nothing is built; the empty W of
+    T = V still gives Z in degree -1.  Each core's groups are computed once.
     """
     g = ns.graph
+    closed = [a | 1 << i for i, a in enumerate(g.adj)]
+    bit = {v: 1 << i for i, v in enumerate(g.labels)}
     full = (1 << g.vertex_count) - 1
-    seen = {1 << i: GradedGroups({}) for i in range(g.vertex_count)}  # by core bitset
+    seen = {b: GradedGroups({}) for b in bit.values()}  # by core bitset
     for t in spherical_subsets(ns):
-        core = _dismantled(g.adj, full & ~sum(1 << g.index(v) for v in t))
+        core = _dismantled(closed, full & ~sum(map(bit.__getitem__, t)))
         if core not in seen:
             rest = [g.labels[i] for i in iter_bits(core)]
             seen[core] = reduced_cohomology(full_subcomplex(ns.nerve, rest))
@@ -247,10 +256,9 @@ def condition3_vanishing(ns: NerveSystem) -> Condition3Result:
     """
     checked = 0
     for checked, (t, coh) in enumerate(_complement_cohomologies(ns), 1):
-        bad = coh.nontrivial()
-        if bad:
-            degree = min(bad)
-            return Condition3Result(False, Condition3Witness(t, degree, bad[degree]), checked)
+        if coh.by_degree:
+            degree = min(coh.by_degree)
+            return Condition3Result(False, Condition3Witness(t, degree, coh.group(degree)), checked)
     return Condition3Result(True, None, checked)
 
 
@@ -286,7 +294,7 @@ def coxeter_cohomology_if_fg(ns: NerveSystem, i: int) -> AbelianGroup | _NotFini
         raise ValueError("the dictionary applies to irreducible systems only")
     if any(not coh.group(i - 1).is_trivial for _, coh in _complement_cohomologies(ns)):
         return NOT_FINITELY_GENERATED
-    return reduced_cohomology(ns.nerve).group(i - 1)
+    return universal_coefficients(ns.homology).group(i - 1)
 
 
 @dataclass

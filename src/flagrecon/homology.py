@@ -29,6 +29,7 @@ __all__ = [
     "GradedGroups",
     "reduced_homology",
     "reduced_cohomology",
+    "universal_coefficients",
     "local_homology",
 ]
 
@@ -378,12 +379,16 @@ def reduced_homology(L: SimplicialComplex) -> GradedGroups:
     return GradedGroups({i - 1: AbelianGroup(free[i], torsion[i + 1]) for i in range(dim + 2)})
 
 
-def reduced_cohomology(L: SimplicialComplex) -> GradedGroups:
-    """Reduced integral cohomology by universal coefficients: H~^k has the
+def universal_coefficients(h: GradedGroups) -> GradedGroups:
+    """Reduced integral cohomology from reduced homology ``h``: H~^k has the
     free part of H~_k and the torsion of H~_{k-1}."""
-    h = reduced_homology(L)
-    degrees = range(-1, L.dimension + 1)
+    degrees = {k for d in h.by_degree for k in (d, d + 1)}
     return GradedGroups({k: AbelianGroup(h.group(k).rank, h.group(k - 1).torsion) for k in degrees})
+
+
+def reduced_cohomology(L: SimplicialComplex) -> GradedGroups:
+    """Reduced integral cohomology, by universal coefficients."""
+    return universal_coefficients(reduced_homology(L))
 
 
 def local_homology(L: SimplicialComplex, simplex: Iterable[str]) -> GradedGroups:

@@ -48,7 +48,7 @@ from flagrecon import (
 )
 from flagrecon import complete as complete_graph
 from flagrecon.coxeter import Condition3Result, Condition3Witness, spherical_subsets
-from flagrecon.graphs import _cells_of, _is_homogeneous
+from flagrecon.graphs import _cells_of, _is_homogeneous, iter_bits
 
 
 def graph_on(labels: list[str], mask: int) -> Graph:
@@ -623,6 +623,25 @@ def join_split(g: Graph) -> tuple[list[str], list[str]] | None:
         if all(g.has_edge(g.labels[i], g.labels[j]) for i in a for j in b):
             return [g.labels[i] for i in a], [g.labels[i] for i in b]
     return None
+
+
+def adjacency_dismantled(adj: tuple[int, ...], w: int) -> int:
+    """Core of the graph induced on bitset ``w``: v goes while a neighbour u
+    has N[v] & w inside N[u]; only a deleted vertex's neighbours can become
+    dominated, so only they are examined again.
+
+    The library's former dismantling, on open adjacency rows, closing each
+    neighbourhood afresh for every neighbour it tests.
+    """
+    todo = w
+    while todo:
+        v = todo.bit_length() - 1
+        todo ^= 1 << v
+        nbrs = adj[v] & w
+        if any(not (nbrs | 1 << v) & ~(adj[u] | 1 << u) for u in iter_bits(nbrs)):
+            w ^= 1 << v
+            todo |= nbrs
+    return w
 
 
 def undismantled_complement_cohomologies(ns: NerveSystem):

@@ -11,12 +11,14 @@ import flagrecon as fr
 from flagrecon.coxeter import _dismantled
 from flagrecon.graphs import iter_bits
 from oracles import (
+    adjacency_dismantled,
     brute_condition3_failures,
     graphs,
     hub,
     join_split,
     reordered,
     small_corpus,
+    subdivided,
     undismantled_complement_cohomologies,
     undismantled_condition3_vanishing,
 )
@@ -31,14 +33,19 @@ def named_systems():
 
 
 def sweep_systems():
-    """The named systems, complete graphs, cones over the named graphs, and
-    the join of two pentagons: remainders that dismantle to a point, to
-    several points and not at all."""
+    """The named systems, complete graphs, cones over the named graphs, the
+    join of two pentagons, a subdivided icosahedron (disc cores), a
+    subdivided torus (a punctured torus at the first subset) and a long
+    cycle (path remainders): remainders that dismantle to a point, to
+    several points, to cores bigger than a point and not at all."""
     c5 = fr.cycle(5)
     cases = small_corpus()
     cases += [(f"K{k}", fr.complete(k)) for k in range(1, 10)]
     cases += [(f"cone_{name}", fr.join(g, hub("apex"))) for name, g in small_corpus()]
     cases.append(("C5*C5", fr.join(c5, c5.relabel({v: f"b{v}" for v in c5.labels}))))
+    cases.append(("sd_icosahedron", subdivided(fr.icosahedron(), 6, 1)))
+    cases.append(("sd_torus_4x4", subdivided(fr.torus_grid(4, 4), 4, 3)))
+    cases.append(("C40", fr.cycle(40)))
     return [(name, system(g)) for name, g in cases]
 
 
@@ -309,10 +316,21 @@ def drawn_subset(g, data):
     return data.draw(st.integers(0, (1 << g.vertex_count) - 1))
 
 
+def closed_rows(g):
+    return [a | 1 << i for i, a in enumerate(g.adj)]
+
+
+@given(graphs(max_n=9), st.data())
+def test_closed_rows_give_the_adjacency_core_bit_for_bit(g, data):
+    # the same deletion order, so the same core bitset, not just the same homology
+    w = drawn_subset(g, data)
+    assert _dismantled(closed_rows(g), w) == adjacency_dismantled(g.adj, w)
+
+
 @given(graphs(max_n=9), st.data())
 def test_dismantling_keeps_the_homology(g, data):
     w = drawn_subset(g, data)
-    core = _dismantled(g.adj, w)
+    core = _dismantled(closed_rows(g), w)
     assert core & ~w == 0
     assert (core == 0) == (w == 0)
     assert clique_homology(g, core) == clique_homology(g, w)
@@ -322,7 +340,7 @@ def test_dismantling_keeps_the_homology(g, data):
 
 @given(graphs(max_n=9), st.data())
 def test_no_core_vertex_is_dominated(g, data):
-    core = _dismantled(g.adj, drawn_subset(g, data))
+    core = _dismantled(closed_rows(g), drawn_subset(g, data))
     inside = [g.labels[i] for i in iter_bits(core)]
 
     def closed(v):
@@ -339,7 +357,7 @@ def test_the_core_does_not_depend_on_the_vertex_order(g, data):
     w = drawn_subset(g, data)
     h = reordered(g, data.draw(st.permutations(g.labels)))
     w_h = sum(1 << h.index(g.labels[i]) for i in iter_bits(w))
-    core_g, core_h = _dismantled(g.adj, w), _dismantled(h.adj, w_h)
+    core_g, core_h = _dismantled(closed_rows(g), w), _dismantled(closed_rows(h), w_h)
     assert core_g.bit_count() == core_h.bit_count()
     assert fr.are_isomorphic(induced(g, core_g), induced(h, core_h))
 

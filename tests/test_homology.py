@@ -381,6 +381,13 @@ def test_projective_plane_torsion_moves_up_a_degree():
     assert groups_of(fr.reduced_cohomology(L)) == {2: "Z/2"}
 
 
+def test_universal_coefficients_keep_free_parts_and_move_torsion_up():
+    z2, z3 = fr.AbelianGroup(0, (2,)), fr.AbelianGroup(0, (3,))
+    h = fr.GradedGroups({-1: fr.INTEGERS, 1: fr.AbelianGroup(1, (2,)), 2: z3})
+    expected = {-1: fr.INTEGERS, 1: fr.INTEGERS, 2: z2, 3: z3}
+    assert fr.universal_coefficients(h).by_degree == expected
+
+
 @given(graphs(max_n=6))
 def test_cohomology_routes_agree_on_random_flag_complexes(g):
     L = fr.clique_complex(g)

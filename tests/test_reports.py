@@ -166,6 +166,23 @@ def count_calls(monkeypatch, names):
     return counts
 
 
+def record_homologies(monkeypatch):
+    """The complexes handed to reduced_homology, from every module that binds it, in call order."""
+    received = []
+
+    def recording(fn):
+        def wrapper(L):
+            received.append(L)
+            return fn(L)
+
+        return wrapper
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "flagrecon" and "reduced_homology" in vars(mod):
+            monkeypatch.setattr(mod, "reduced_homology", recording(mod.reduced_homology))
+    return received
+
+
 def test_one_report_computes_each_fact_once(monkeypatch):
     expected = {
         "clique_complex": 1,  # the nerve, level by level from the graph's bitsets
@@ -269,21 +286,20 @@ def test_card_recovery_above_dimension_2_reaches_no_matrix(monkeypatch, g, n):
     ],
 )
 def test_one_report_never_computes_the_homology_of_one_complex_twice(monkeypatch, g):
-    received = []
-
-    def recording(fn):
-        def wrapper(L):
-            received.append(L)
-            return fn(L)
-
-        return wrapper
-
-    for mod_name, mod in list(sys.modules.items()):
-        if mod_name.split(".")[0] == "flagrecon" and "reduced_homology" in vars(mod):
-            monkeypatch.setattr(mod, "reduced_homology", recording(mod.reduced_homology))
+    received = record_homologies(monkeypatch)
     analysis_report(g, source_format="graph6")
     assert received
     assert len(set(received)) == len(received)
+
+
+@pytest.mark.parametrize("g", [fr.cycle(5), fr.torus_grid(5, 5), fr.icosahedron()])
+def test_group_cohomology_reads_the_nerves_kept_homology(monkeypatch, g):
+    ns = fr.NerveSystem(g)
+    ns.homology  # computed once here, and kept on the system
+    received = record_homologies(monkeypatch)
+    for i in range(ns.nerve.dimension + 3):
+        fr.coxeter_cohomology_if_fg(ns, i)
+    assert all(L is not ns.nerve for L in received)
 
 
 def test_nothing_carries_over_to_the_next_report(monkeypatch):
