@@ -415,6 +415,18 @@ def projective_plane() -> SimplicialComplex:
     )
 
 
+def barycentric_subdivision(L: SimplicialComplex) -> Graph:
+    """The 1-skeleton of L's barycentric subdivision: one vertex per simplex,
+    labelled by its vertices joined, and an edge between each face and coface.
+
+    Its clique complex is the subdivision itself, so any complex, RP^2
+    included, becomes a flag complex of the same homeomorphism type.
+    """
+    cells = [s for level in L.simplices for s in level]
+    edges = [("".join(a), "".join(b)) for b in cells for a in cells if set(a) < set(b)]
+    return Graph.from_edges(["".join(s) for s in cells], edges)
+
+
 # the 8-vertex dunce hat: contractible, but no face of it is free
 DUNCE_HAT_FACES = "124 127 128 134 135 136 156 178 235 237 238 245 348 367 456 468 678".split()
 

@@ -12,9 +12,11 @@ import flagrecon as fr
 from flagrecon import reconstruction
 from oracles import (
     all_decks_oracle,
+    barycentric_subdivision,
     graphs,
     hub,
     iso_bijection,
+    projective_plane,
     reordered,
     symmetric_graphs,
     unpruned_enumerate_graphs,
@@ -196,6 +198,16 @@ def test_every_card_reconstructs_the_original(g, n):
         card = fr.vertex_deleted(g, v)
         rebuilt = fr.reconstruct_from_card(card, n)
         assert fr.are_isomorphic(rebuilt, g)
+
+
+def test_every_card_class_of_a_manifold_with_torsion_reconstructs_the_original():
+    # the subdivided projective plane: a flag 2-manifold with H~1 = Z/2,
+    # whose vertices (old vertices, edges and triangles) fall in 3 classes
+    g = barycentric_subdivision(projective_plane())
+    orbits = fr.vertex_orbits(g)
+    assert len(orbits) == 3
+    for orbit in orbits:
+        assert fr.are_isomorphic(fr.reconstruct_from_card(fr.vertex_deleted(g, orbit[0]), 2), g)
 
 
 @pytest.mark.parametrize("g,n", MANIFOLD_CORPUS)

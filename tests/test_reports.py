@@ -8,7 +8,13 @@ import pytest
 
 import flagrecon as fr
 from flagrecon.reports import analysis_report, report_json, report_schema
-from oracles import small_corpus, subdivided, suffixed
+from oracles import (
+    barycentric_subdivision,
+    projective_plane,
+    small_corpus,
+    subdivided,
+    suffixed,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -120,6 +126,7 @@ def test_serialisation_is_deterministic():
         ("torus44.json", fr.torus_grid(4, 4)),
         ("cone_c5.json", fr.join(fr.cycle(5), fr.Graph(("a",), (0,)))),
         ("k4.json", fr.complete(4)),
+        ("sd_rp2.json", barycentric_subdivision(projective_plane())),  # H~1 = Z/2
     ],
 )
 def test_golden_reports_are_byte_stable(fname, g):
