@@ -286,13 +286,19 @@ def coxeter_cohomology_if_fg(ns: NerveSystem, i: int) -> AbelianGroup | _NotFini
     is finitely generated exactly when the complement cohomology in degree
     i-1 vanishes over every nonempty spherical subset, and it then equals
     the nerve's reduced cohomology in degree i-1.  Otherwise the marker
-    ``NOT_FINITELY_GENERATED`` is returned.
+    ``NOT_FINITELY_GENERATED`` is returned.  The system's condition-3 verdict
+    settles this when it holds or its witness has degree i-1; only otherwise
+    is the sweep run again, for degree i-1.
     """
     if i < 0:
         raise ValueError("cohomological degree must be nonnegative")
     if not ns.irreducible:
         raise ValueError("the dictionary applies to irreducible systems only")
-    if any(not coh.group(i - 1).is_trivial for _, coh in _complement_cohomologies(ns)):
+    c3 = ns.condition3
+    if not c3.holds and (
+        c3.witness.degree == i - 1
+        or any(not coh.group(i - 1).is_trivial for _, coh in _complement_cohomologies(ns))
+    ):
         return NOT_FINITELY_GENERATED
     return universal_coefficients(ns.homology).group(i - 1)
 

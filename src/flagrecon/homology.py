@@ -1,12 +1,13 @@
-"""Exact integer simplicial (co)homology: pairing, unit elimination, Smith normal form.
+"""Exact integer simplicial (co)homology: pairing, then one sparse Smith normal form.
 
 Cells of the augmented chain complex are first paired off along +-1
 incidences with no arithmetic: coreductions (Mrozek-Batko, Discrete Comput.
 Geom. 41, 2009) and free faces (Kaczynski-Mrozek-Slusarek, Comput. Math.
-Appl. 35, 1998).  On the cells left, +-1 pivots go by exact Schur complement
-over Z, and the Smith normal form of what remains gives the rest of the rank
-and all torsion, in arbitrary-precision integers (fixed-width words would
-overflow silently there).  A graph (dimension <= 1) needs no matrix.
+Appl. 35, 1998).  The boundary of the cells left goes, as sparse rows, to
+one Smith normal form kernel, which gives the rank and all torsion in
+arbitrary-precision integers (fixed-width words would overflow silently
+there); its +-1 pivots are exact Schur complements over Z.  A graph
+(dimension <= 1) needs no matrix.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
+from math import gcd
 from typing import Iterable, Sequence
 
 from .complexes import SimplicialComplex, link
@@ -134,52 +136,66 @@ def _pair_off(faces: list[tuple[int, ...]]) -> bytearray:
     return alive
 
 
-def _eliminate_units(rows: list[dict[int, int]], cols: int) -> tuple[int, IntegerMatrix]:
-    """Eliminate +-1 pivots from sparse rows; return their count and the residual.
+def _smith(rows: list[dict[int, int]], cols: int) -> tuple[int, tuple[int, ...]]:
+    """Rank and non-unit invariant factors of sparse rows ``{column: entry}``, over Z.
 
-    Columns are visited in order.  Each pivot is a +-1 entry of its column,
-    taken in the row with the fewest entries to keep fill-in low, and its
-    row is subtracted from every other row holding that column: the exact
-    Schur complement over Z.  A unit pivot splits a 1 off the Smith normal
-    form, so the matrix's form is 1^units plus that of the residual, the
-    nonzero part of the rows left over.  ``rows`` is consumed.
+    Columns are visited in order.  The pivot is the column's entry of least
+    magnitude, in the row with the fewest entries on ties, and every other
+    row holding the column is reduced by it to a remainder: a Euclidean
+    descent, which on a +-1 pivot is the exact Schur complement over Z.
+    Once the column is the pivot row's alone, column operations, which touch
+    no other row, reduce the rest of that row the same way; a remainder left
+    there is swapped into the column and the descent goes on.  The diagonal
+    this leaves becomes a divisibility chain by gcd and lcm over its non-unit
+    entries.  ``rows`` is consumed.
     """
     holders: list[set[int]] = [set() for _ in range(cols)]
     for i, row in enumerate(rows):
         for j in row:
             holders[j].add(i)
-    units = 0
+    diagonal = []
     for c in range(cols):
-        pivots = [i for i in holders[c] if rows[i][c] in (1, -1)]
-        if not pivots:
-            continue
-        pivot = min(pivots, key=lambda i: len(rows[i]))
-        units += 1
-        prow, rows[pivot] = rows[pivot], {}
-        for j in prow:
-            holders[j].discard(pivot)
-        p = prow[c]
-        for i in list(holders[c]):
-            row = rows[i]
-            f = row[c] * p
-            for j, x in prow.items():
-                y = row.get(j, 0) - f * x
-                if y:
-                    if j not in row:
-                        holders[j].add(i)
-                    row[j] = y
-                else:
-                    del row[j]
-                    holders[j].discard(i)
-    left = [row for row in rows if row]
-    keep = sorted({j for row in left for j in row})
-    entries = tuple(tuple(row.get(j, 0) for j in keep) for row in left)
-    return units, IntegerMatrix(len(left), len(keep), entries)
-
-
-# ---------------------------------------------------------------------------
-# Smith normal form
-# ---------------------------------------------------------------------------
+        while holders[c]:
+            pivot = min(holders[c], key=lambda i: (abs(rows[i][c]), len(rows[i])))
+            prow = rows[pivot]
+            p = prow[c]
+            for i in holders[c] - {pivot}:
+                row = rows[i]
+                q = row[c] // p
+                for j, x in prow.items():
+                    y = row.get(j, 0) - q * x
+                    if y:
+                        if j not in row:
+                            holders[j].add(i)
+                        row[j] = y
+                    else:
+                        del row[j]
+                        holders[j].discard(i)
+            if len(holders[c]) > 1:
+                continue
+            for j in prow:  # the row leaves the matrix, or comes back as its remainders
+                holders[j].discard(pivot)
+            rest = {j: r for j, x in prow.items() if (r := x % p)}  # p % p is 0
+            if not rest:
+                diagonal.append(abs(p))
+                continue
+            rows[pivot] = rest
+            for j in rest:
+                holders[j].add(pivot)
+            j = min(rest, key=lambda j: abs(rest[j]))  # swap columns c and j
+            for i in holders[j]:
+                rows[i][c] = rows[i].pop(j)
+            holders[c], holders[j] = holders[j], {pivot}
+            rest[j] = p
+    factors = [d for d in diagonal if d > 1]
+    for i in range(len(factors)):
+        for j in range(i + 1, len(factors)):
+            d = gcd(factors[i], factors[j])
+            factors[i], factors[j] = d, factors[i] * factors[j] // d
+    torsion = tuple(d for d in factors if d > 1)
+    for x, y in zip(torsion, torsion[1:]):
+        assert y % x == 0, "invariant factors must form a divisibility chain"
+    return len(diagonal), torsion
 
 
 @dataclass(frozen=True)
@@ -191,64 +207,9 @@ class SmithNormalForm:
 
 
 def smith_normal_form(m: IntegerMatrix) -> SmithNormalForm:
-    """Diagonalise ``m`` over Z by unimodular row and column operations.
-
-    Pivots are always the smallest nonzero magnitude in the trailing block,
-    which keeps entry growth tame on the small dense residual blocks that
-    unit elimination leaves.  Each diagonal entry is forced to divide every entry
-    of its trailing block before the next position starts, so the diagonal
-    comes out as a divisibility chain.
-    """
-    nrow, ncol = m.rows, m.cols
-    a = [list(row) for row in m.entries]
-    for s in range(min(nrow, ncol)):
-        while True:
-            # smallest nonzero magnitude in the trailing block becomes the
-            # pivot, re-chosen every round: remainders left by the previous
-            # round are smaller than the old pivot, so this walks a Euclidean
-            # descent instead of letting quotients inflate the block
-            nz = ((abs(a[i][j]), i, j) for i in range(s, nrow) for j in range(s, ncol) if a[i][j])
-            pv, pi, pj = min(nz, default=(0, s, s))
-            if pv == 0:
-                break
-            if pi != s:
-                a[pi], a[s] = a[s], a[pi]
-            if pj != s:
-                for row in a:
-                    row[pj], row[s] = row[s], row[pj]
-            if a[s][s] < 0:
-                a[s] = [-x for x in a[s]]
-            dirty = False
-            for i in range(s + 1, nrow):
-                if a[i][s]:
-                    q = a[i][s] // a[s][s]
-                    if q:
-                        a[i] = [x - q * y for x, y in zip(a[i], a[s])]
-                    if a[i][s]:
-                        dirty = True
-            for j in range(s + 1, ncol):
-                if a[s][j]:
-                    q = a[s][j] // a[s][s]
-                    if q:
-                        for row in a:
-                            row[j] -= q * row[s]
-                    if a[s][j]:
-                        dirty = True
-            if dirty:
-                continue
-            # row and column are clean; force divisibility into the block
-            d = a[s][s]
-            offender = next(
-                (i for i in range(s + 1, nrow) if any(x % d for x in a[i][s + 1 :])), -1
-            )
-            if offender < 0:
-                break
-            a[s] = [x + y for x, y in zip(a[s], a[offender])]
-
-    factors = tuple(a[i][i] for i in range(min(nrow, ncol)) if a[i][i])
-    for x, y in zip(factors, factors[1:]):
-        assert y % x == 0, "invariant factors must form a divisibility chain"
-    return SmithNormalForm(len(factors), factors)
+    """Diagonalise ``m`` over Z by unimodular row and column operations."""
+    rank, torsion = _smith([{j: x for j, x in enumerate(row) if x} for row in m.entries], m.cols)
+    return SmithNormalForm(rank, (1,) * (rank - len(torsion)) + torsion)
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +320,8 @@ def reduced_homology(L: SimplicialComplex) -> GradedGroups:
     The augmented chain complex is used, so the empty complex reports Z in
     degree -1.  Up to dimension 1 :func:`graph_homology` reads the groups off
     a union-find count.  Above it the cells are paired off first, which keeps
-    every group over Z, and only the cells left reach unit elimination and
-    the Smith normal form.  No call is cached: each analysis keeps its own reuse.
+    every group over Z, and only the cells left reach the sparse Smith normal
+    form.  No call is cached: each analysis keeps its own reuse.
     """
     dim = L.dimension
     if dim <= 1:
@@ -371,10 +332,7 @@ def reduced_homology(L: SimplicialComplex) -> GradedGroups:
     rank, torsion = [0] * (dim + 3), [()] * (dim + 3)  # of the boundary out of left[i]
     for i in range(1, dim + 2):
         if left[i - 1] and left[i]:
-            units, residual = _eliminate_units(_rows(faces, left[i], left[i - 1]), len(left[i]))
-            snf = smith_normal_form(residual)
-            rank[i] = units + snf.rank
-            torsion[i] = tuple(d for d in snf.invariant_factors if d > 1)
+            rank[i], torsion[i] = _smith(_rows(faces, left[i], left[i - 1]), len(left[i]))
     free = [len(cells) - r - s for cells, r, s in zip(left, rank, rank[1:])]
     return GradedGroups({i - 1: AbelianGroup(free[i], torsion[i + 1]) for i in range(dim + 2)})
 

@@ -451,9 +451,9 @@ def face_list_complexes(draw, max_face: int = 5):
 
 
 def unpaired_reduced_homology(L: SimplicialComplex) -> GradedGroups:
-    """Reduced homology from the dense Smith normal form of every whole boundary matrix.
+    """Reduced homology from the Smith normal form of every whole boundary matrix.
 
-    No cell is paired off and no unit eliminated first, unlike the library.
+    No cell is paired off first, unlike the library.
     """
     if L.dimension == -1:
         return GradedGroups({-1: INTEGERS})
@@ -523,9 +523,9 @@ def matrix_from_rows(rows, cols: int | None = None) -> IntegerMatrix:
 def smith_transforms(m: IntegerMatrix) -> tuple[IntegerMatrix, IntegerMatrix]:
     """Unimodular U and V with U m V diagonal, the diagonal a divisibility chain.
 
-    The library's pivot rule, smallest nonzero magnitude first, with every
-    row operation recorded in U and every column operation in V.  The
-    library's ``smith_normal_form`` keeps no transforms.
+    A dense elimination of its own, apart from the library's sparse kernel:
+    the pivot is the smallest nonzero magnitude in the whole trailing block,
+    every row operation is recorded in U and every column operation in V.
     """
     nrow, ncol = m.rows, m.cols
     a = [list(row) for row in m.entries]
@@ -600,9 +600,9 @@ def matrix_multiply(a: IntegerMatrix, b: IntegerMatrix) -> IntegerMatrix:
 def reduced_cohomology_via_cochains(L: SimplicialComplex) -> GradedGroups:
     """Reduced cohomology recomputed from transposed boundary operators.
 
-    Independent of the library's homology route, which eliminates unit
-    pivots before any Smith normal form: here every coboundary goes through
-    the dense Smith normal form whole.  The cochain in degree k is dual to
+    Independent of the library's homology route, which pairs cells off
+    before any Smith normal form: here every coboundary goes through
+    ``smith_normal_form`` whole.  The cochain in degree k is dual to
     the chain in degree k, with the dual augmentation entering at degree -1.
     """
     dim = L.dimension

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import flagrecon as fr
 from flagrecon import homology
 from oracles import (
+    barycentric_subdivision,
     corpus_complexes,
     determinant,
     dunce_hat,
@@ -157,49 +158,99 @@ def test_smith_form_tames_entry_growth():
         assert all(abs(e) < 10**9 for row in t.entries for e in row)
 
 
-# ------------------------------------------------------ unit elimination
+# ------------------------------------------------- the sparse Smith kernel
 
 
-def nonunit_factors(snf):
-    return tuple(d for d in snf.invariant_factors if d > 1)
+def kernel(m):
+    """Rank and non-unit invariant factors from the library's sparse kernel."""
+    return homology._smith([{j: x for j, x in enumerate(row) if x} for row in m.entries], m.cols)
 
 
-def eliminated(rows, cols):
-    """Rank and non-unit invariant factors by unit elimination, then SNF."""
-    units, residual = homology._eliminate_units(rows, cols)
-    snf = fr.smith_normal_form(residual)
-    return units + snf.rank, nonunit_factors(snf)
+def oracle(m):
+    """Rank and non-unit invariant factors read off the diagonal of U m V."""
+    u, v = smith_transforms(m)
+    d = matrix_multiply(matrix_multiply(u, m), v)
+    diagonal = [d.entries[i][i] for i in range(min(d.rows, d.cols))]
+    assert all(x == 0 for i, row in enumerate(d.entries) for j, x in enumerate(row) if i != j)
+    factors = [x for x in diagonal if x]
+    assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
+    return len(factors), tuple(x for x in factors if x > 1)
 
 
-def dense(m):
-    snf = fr.smith_normal_form(m)
-    return snf.rank, nonunit_factors(snf)
+@st.composite
+def torsion_matrices(draw, max_dim=6):
+    """U D V: a diagonal D with factors up to 12 under drawn elementary row and column operations."""
+    r, c = draw(st.integers(1, max_dim)), draw(st.integers(1, max_dim))
+    rows = [[0] * c for _ in range(r)]
+    for i in range(min(r, c)):
+        rows[i][i] = draw(st.sampled_from([0, 1, -1, 2, 3, 4, 6, 12]))
+    for _ in range(draw(st.integers(0, 12))):
+        on_rows = draw(st.booleans())  # else a column operation, as a row operation on the transpose
+        a = rows if on_rows else [list(col) for col in zip(*rows)]
+        i, j = draw(st.integers(0, len(a) - 1)), draw(st.integers(0, len(a) - 1))
+        f = draw(st.integers(-3, 3))
+        if i != j:
+            a[i] = [x + f * y for x, y in zip(a[i], a[j])]
+        rows = a if on_rows else [list(col) for col in zip(*a)]
+    return rows
 
 
-def sparse(rows):
-    return [{j: x for j, x in enumerate(row) if x} for row in rows]
-
-
-@settings(max_examples=120)
-@given(st.one_of(matrices(), matrices(max_entry=2)))
+@settings(max_examples=300)
+@given(
+    st.one_of(
+        matrices(),  # rectangular as often as square
+        matrices(max_entry=1),  # +-1 heavy: mostly unit pivots
+        matrices(max_entry=0),  # zero
+        torsion_matrices(),
+    )
+)
 def test_unit_elimination_matches_dense_smith_form(rows):
-    assert eliminated(sparse(rows), len(rows[0])) == dense(matrix_from_rows(rows))
+    m = matrix_from_rows(rows)
+    assert kernel(m) == oracle(m)
 
 
 @pytest.mark.parametrize("name,L", corpus_complexes())
 def test_unit_elimination_matches_dense_smith_form_per_degree(name, L):
     for k in range(L.dimension + 2):
         m = fr.boundary_matrix(L, k, reduced=(k == 0))
-        assert eliminated(sparse(m.entries), m.cols) == dense(m)
+        assert kernel(m) == oracle(m)
+
+
+@pytest.mark.parametrize(
+    "rows,want",
+    [
+        ([[2, 3]], (1, ())),  # the remainder 1 is swapped into the column
+        ([[4, 6]], (1, (2,))),
+        ([[6, 10, 15]], (1, ())),
+        ([[2, 3], [0, 5]], (2, (10,))),
+        ([[0, 2, 3], [0, 0, 0]], (1, ())),
+    ],
+)
+def test_the_kernel_swaps_a_row_remainder_into_the_column(rows, want):
+    m = matrix_from_rows(rows)
+    assert kernel(m) == oracle(m) == want
+
+
+def residual(L, degree):
+    """The boundary out of ``degree`` restricted to the cells pairing leaves, as a dense matrix."""
+    faces, levels = homology._cells(L)
+    alive = homology._pair_off(faces)
+    cols, rows = ([c for c in levels[k] if alive[c]] for k in (degree + 1, degree))
+    sparse = homology._rows(faces, cols, rows)
+    return matrix_from_rows([[row.get(j, 0) for j in range(len(cols))] for row in sparse], len(cols))
 
 
 def test_projective_plane_torsion_survives_to_the_residual():
-    m = fr.boundary_matrix(projective_plane(), 2)
-    units, residual = homology._eliminate_units(sparse(m.entries), m.cols)
-    assert residual.rows and residual.cols
-    snf = fr.smith_normal_form(residual)
-    assert units + snf.rank == 10
-    assert nonunit_factors(snf) == (2,)
+    m = residual(projective_plane(), 2)
+    assert m.rows and m.cols
+    assert kernel(m) == oracle(m) == (m.cols, (2,))
+
+
+def test_the_subdivided_projective_plane_leaves_one_non_unit_factor():
+    m = residual(fr.clique_complex(barycentric_subdivision(projective_plane())), 2)
+    assert (m.rows, m.cols) == (15, 15)
+    assert kernel(m) == oracle(m) == (15, (2,))
+    assert fr.smith_normal_form(m).invariant_factors == (1,) * 14 + (2,)
 
 
 # ---------------------------------------------------------- homology groups
@@ -296,12 +347,7 @@ def test_a_sphere_pairs_off_whole_and_reaches_no_matrix(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(
-        homology, "_eliminate_units", recording(homology._eliminate_units, lambda rows, cols: rows)
-    )
-    monkeypatch.setattr(
-        homology, "smith_normal_form", recording(homology.smith_normal_form, lambda m: m.entries)
-    )
+    monkeypatch.setattr(homology, "_smith", recording(homology._smith, lambda rows, cols: rows))
     report = fr.analysis_report(fr.cross_polytope(4), source_format="graph6")
     assert report["certificate"]["verdict"] == "theorem_2"
     assert groups_of(fr.reduced_homology(fr.clique_complex(fr.cross_polytope(4)))) == {3: "Z"}
