@@ -106,6 +106,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_deck(args: argparse.Namespace) -> int:
     g = _parse_graph(_read_input(args.input), args.format)
+    if g.vertex_count > 63:  # each card loses one vertex, and is written as graph6
+        raise FormatError(
+            f"cards of a {g.vertex_count}-vertex graph have {g.vertex_count - 1} vertices; "
+            "short-form graph6 carries at most 62 vertices"
+        )
     for card, mult in sorted(
         (emit_graph6(graph_from_canonical_form(c)), m) for c, m in deck(g).cards.items()
     ):

@@ -1,8 +1,8 @@
 """Abstract simplicial complexes, clique (flag) complexes, links and subcomplexes.
 
-Simplices are stored as label tuples sorted by the complex's own vertex
-order, grouped by dimension; level 0 always equals the vertex list.  The
-complex with no vertices is legal and has dimension -1.
+A complex is its levels: simplices are stored as label tuples sorted by
+the complex's own vertex order, grouped by dimension, and ``labels`` reads
+level 0.  The complex with no vertices is legal and has dimension -1.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ __all__ = [
     "MAX_FACES",
     "Simplex",
     "SimplicialComplex",
-    "DimensionCapExceeded",
     "build_complex",
     "clique_complex",
     "full_subcomplex",
@@ -41,37 +40,31 @@ def _check_budget(faces: int) -> None:
         raise ValueError(f"complex of {faces} faces or more is over MAX_FACES = {MAX_FACES}")
 
 
-class DimensionCapExceeded(ValueError):
-    """A clique grew past the configured dimension cap."""
-
-
 @dataclass(frozen=True)
 class SimplicialComplex:
-    """Immutable simplicial complex.
+    """Immutable simplicial complex, stored as its levels.
 
     ``simplices[k]`` holds the k-simplices, each sorted by vertex position
-    and the level sorted lexicographically by position.  Downward closure
-    is the builder's responsibility; the constructor only guards the cheap
-    invariants.  :func:`build_complex` closes and sorts outside face lists;
-    :func:`clique_complex`, :func:`links` and :func:`full_subcomplex`
-    make closed, storage-ordered levels directly and hand them to
-    ``_from_levels``.
+    and the level sorted lexicographically by position; ``labels`` reads
+    level 0, so the vertex order is the order of the 0-simplices.  Downward
+    closure is the builder's responsibility; the constructor only guards
+    the cheap invariants.  :func:`build_complex` closes and sorts outside
+    face lists; :func:`clique_complex`, :func:`links` and
+    :func:`full_subcomplex` make closed, storage-ordered levels directly.
     """
 
-    labels: tuple[str, ...]
     simplices: tuple[tuple[Simplex, ...], ...]
 
     def __post_init__(self) -> None:
-        if self.labels:
-            if not self.simplices or self.simplices[0] != tuple((v,) for v in self.labels):
-                raise ValueError("level 0 must equal the vertex list")
-        elif self.simplices:
-            raise ValueError("a complex without vertices has no simplices")
         for k, level in enumerate(self.simplices):
             if any(len(s) != k + 1 for s in level):
                 raise ValueError(f"level {k} contains a simplex of the wrong size")
             if not level:
                 raise ValueError("trailing empty simplex levels are not stored")
+
+    @cached_property
+    def labels(self) -> tuple[str, ...]:
+        return tuple(v for (v,) in self.faces(0))
 
     @cached_property
     def _pos(self) -> dict[str, int]:
@@ -143,12 +136,9 @@ def build_complex(labels: Iterable[str], faces: Iterable[Iterable[str]]) -> Simp
         for k in range(2, len(idx) + 1):
             by_dim[k - 1].update(itertools.combinations(idx, k))
         _check_budget(sum(map(len, by_dim)))
-    if not labels:
-        return SimplicialComplex((), ())
-    simplices = tuple(
-        tuple(tuple(labels[i] for i in s) for s in sorted(level)) for level in by_dim
-    )
-    return SimplicialComplex(labels, simplices)
+    return SimplicialComplex(tuple(
+        tuple(tuple(labels[i] for i in s) for s in sorted(level)) for level in by_dim if level
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +146,7 @@ def build_complex(labels: Iterable[str], faces: Iterable[Iterable[str]]) -> Simp
 # ---------------------------------------------------------------------------
 
 
-def clique_complex(g: Graph, max_dim: int | None = None) -> SimplicialComplex:
+def clique_complex(g: Graph) -> SimplicialComplex:
     """The flag complex of ``g``: every clique becomes a simplex.
 
     Built level by level from the adjacency bitsets.  Each clique carries
@@ -166,18 +156,13 @@ def clique_complex(g: Graph, max_dim: int | None = None) -> SimplicialComplex:
     ``up``.  So every face is made once, and each level comes out in
     lexicographic order of positions, the storage order.  A level that takes
     the face count past ``MAX_FACES`` raises before it is built: its size is
-    the sum of the ``up`` counts.  With ``max_dim`` set, a non-empty level
-    ``max_dim + 1`` raises :class:`DimensionCapExceeded` instead of truncating.
+    the sum of the ``up`` counts.
     """
     adj, labels = g.adj, g.labels
     frontier = [((v,), adj[i] & (-1 << (i + 1))) for i, v in enumerate(labels)]
     levels: list[tuple[Simplex, ...]] = []
     faces = len(frontier)
     while frontier:
-        if max_dim is not None and len(levels) > max_dim:
-            raise DimensionCapExceeded(
-                f"clique on {len(levels) + 1} vertices exceeds the dimension cap {max_dim}"
-            )
         levels.append(tuple(s for s, _ in frontier))
         faces += sum(up.bit_count() for _, up in frontier)
         _check_budget(faces)
@@ -186,17 +171,12 @@ def clique_complex(g: Graph, max_dim: int | None = None) -> SimplicialComplex:
             for s, up in frontier
             for v in iter_bits(up)
         ]
-    return _from_levels(levels)
+    return SimplicialComplex(tuple(levels))
 
 
 # ---------------------------------------------------------------------------
 # subcomplexes and links
 # ---------------------------------------------------------------------------
-
-
-def _from_levels(levels: list[tuple[Simplex, ...]]) -> SimplicialComplex:
-    """The complex with these closed, storage-ordered levels; none is the empty complex."""
-    return SimplicialComplex(tuple(v for (v,) in levels[0]) if levels else (), tuple(levels))
 
 
 def full_subcomplex(L: SimplicialComplex, t: Iterable[str]) -> SimplicialComplex:
@@ -214,7 +194,7 @@ def full_subcomplex(L: SimplicialComplex, t: Iterable[str]) -> SimplicialComplex
         if not kept:
             break
         levels.append(kept)
-    return _from_levels(levels)
+    return SimplicialComplex(tuple(levels))
 
 
 def link(L: SimplicialComplex, simplex: Iterable[str]) -> SimplicialComplex:
@@ -257,7 +237,7 @@ def links(L: SimplicialComplex, k: int) -> list[SimplicialComplex]:
                 if len(lk) == j:
                     lk.append([])
                 lk[j].append(rest(face))
-    return [_from_levels([tuple(level) for level in lk]) for lk in out]
+    return [SimplicialComplex(tuple(map(tuple, lk))) for lk in out]
 
 
 def one_skeleton(L: SimplicialComplex) -> Graph:

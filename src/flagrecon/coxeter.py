@@ -150,18 +150,18 @@ def join_decomposition(ns: NerveSystem) -> tuple[tuple[str, ...], tuple[str, ...
 
 @dataclass
 class PDVerdict:
-    """Virtual Poincare duality verdict with the peeling that produced it.
-
-    ``degenerate`` flags dimension 0 (finite group: everything peeled away,
-    the core complex is empty).
-    """
+    """Virtual Poincare duality verdict with the peeling that produced it; ``degenerate``
+    is dimension 0 (a finite group: everything peeled away, the core complex empty)."""
 
     is_vpd: bool
     dimension: int | None
     core: tuple[str, ...]
     spherical_factor: tuple[str, ...]
     core_sphere: SphereVerdict
-    degenerate: bool = False
+
+    @property
+    def degenerate(self) -> bool:
+        return self.dimension == 0
 
 
 def is_virtual_pd(ns: NerveSystem) -> PDVerdict:
@@ -181,8 +181,7 @@ def is_virtual_pd(ns: NerveSystem) -> PDVerdict:
     else:
         sphere = ns.sphere
     if sphere.is_sphere:
-        dim = sphere.dimension + 1
-        return PDVerdict(True, dim, t0, t1, sphere, degenerate=(dim == 0))
+        return PDVerdict(True, sphere.dimension + 1, t0, t1, sphere)
     return PDVerdict(False, None, t0, t1, sphere)
 
 

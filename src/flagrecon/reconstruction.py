@@ -149,14 +149,13 @@ def reconstruct_from_card(card: Graph, n: int) -> Graph:
     vertex's neighbourhood: in the card's clique complex those are the
     vertices whose local homology has gone trivial.  The lost vertex is
     reattached along that rim.  The card's clique complex has dimension n
-    too: n caps its cliques, so a clique on n + 2 vertices raises
-    :class:`DimensionCapExceeded` before any larger one is built, and a lower
-    dimension raises ``ValueError``.  A card of any other shape fails the
-    boundary scan.
+    too: it is built whole, under ``MAX_FACES`` like every complex, and any
+    other dimension, above n or below, raises ``ValueError``.  A card of any
+    other shape fails the boundary scan.
     """
     if n < 1:
         raise ValueError("card recovery needs manifold dimension n >= 1")
-    L = clique_complex(card, n)
+    L = clique_complex(card)
     if L.dimension != n:
         raise ValueError(f"the card's clique complex has dimension {L.dimension}, not {n}")
     rim = boundary_of(L)

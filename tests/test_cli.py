@@ -123,6 +123,23 @@ class TestDeck:
         assert code == 2
         assert err.startswith("error: canonical labelling of a 6-vertex graph")
 
+    @pytest.mark.parametrize("n", [64, 2000])
+    def test_cards_past_62_vertices_exit_two_before_any_labelling(self, n, monkeypatch, capsys):
+        monkeypatch.setattr("flagrecon.cli.deck", lambda g: pytest.fail("the deck was labelled"))
+        edges = "".join(f"{i} {(i + 1) % n}\n" for i in range(n))
+        code, out, err = run(monkeypatch, capsys, ["deck", "--format", "edges"], stdin=edges)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: cards of a {n}-vertex graph have {n - 1} vertices; "
+            "short-form graph6 carries at most 62 vertices\n"
+        )
+
+    def test_cards_of_62_vertices_are_written(self, monkeypatch, capsys):
+        edges = "".join(f"{i} {(i + 1) % 63}\n" for i in range(63))
+        code, out, err = run(monkeypatch, capsys, ["deck", "--format", "edges"], stdin=edges)
+        card = fr.graph_from_canonical_form(fr.canonical_form(fr.path(62)))
+        assert (code, out) == (0, f"{fr.emit_graph6(card)} 63\n")
+
 
 def pinned_decks():
     """(graph6 input, deck output) pairs from ``golden/decks.txt``: the
@@ -176,7 +193,7 @@ class TestReconstruct:
         k7 = fr.emit_graph6(fr.complete(7))
         code, out, err = run(monkeypatch, capsys, ["reconstruct", "--dim", "2"], stdin=k7)
         assert (code, out) == (2, "")
-        assert err == "error: clique on 4 vertices exceeds the dimension cap 2\n"
+        assert err == "error: the card's clique complex has dimension 6, not 2\n"
 
     def test_max_dim_is_not_a_reconstruct_flag(self, monkeypatch, capsys):
         with pytest.raises(SystemExit) as exc:

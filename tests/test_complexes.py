@@ -59,12 +59,6 @@ def test_simplex_normalises_input_order():
     assert not L.has_simplex(["a", "z"])  # unknown vertex is just absent
 
 
-def test_direct_constructor_validates_levels():
-    with pytest.raises(ValueError):
-        # 0-level does not list every vertex
-        fr.SimplicialComplex(("a", "b"), ((("a",),), ((("a", "b"))),))
-
-
 # ----------------------------------------------------------- clique complex
 
 
@@ -112,18 +106,23 @@ def test_hollow_tetrahedron_is_not_flag():
     assert not fr.is_flag(hollow_tetrahedron())
 
 
-@given(graphs(max_n=8), st.integers(-1, 4))
-@example(fr.Graph((), ()), -1)
+@given(graphs(max_n=8), st.integers(1, 4))
 @example(fr.complete(5), 2)
-def test_dimension_cap_raises_instead_of_truncating(g, max_dim):
+def test_card_recovery_refuses_cliques_past_the_dimension(g, n):
     clique_number = max(map(len, brute_maximal_cliques(g)), default=0)
-    if clique_number > max_dim + 1:
-        # the smallest clique over the cap is named
-        with pytest.raises(fr.DimensionCapExceeded, match=f"^clique on {max_dim + 2} vertices "):
-            fr.clique_complex(g, max_dim)
-    else:
-        # a cap at or above the true dimension changes nothing
-        assert fr.clique_complex(g, max_dim) == fr.clique_complex(g)
+    if clique_number > n + 1:
+        # the whole clique complex is built, then its dimension is checked
+        with pytest.raises(ValueError) as exc:
+            fr.reconstruct_from_card(g, n)
+        message = f"the card's clique complex has dimension {clique_number - 1}, not {n}"
+        assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("k", [17, 20, 62])
+def test_card_recovery_past_the_face_budget_is_refused_by_it(k):
+    # no dimension cap stops the build early: the face budget does
+    with pytest.raises(ValueError, match=" is over MAX_FACES = 65536$"):
+        fr.reconstruct_from_card(fr.complete(k), 2)
 
 
 def test_the_face_budget_admits_complete_16_and_refuses_complete_17():

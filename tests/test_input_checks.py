@@ -10,11 +10,9 @@ import flagrecon as fr
 a, b = ("a",), ("b",)
 
 CASES = [
-    ("complex_simplices_without_vertices", lambda: fr.SimplicialComplex((), ((a,),)),
-     ValueError, "a complex without vertices has no simplices"),
-    ("complex_wrong_size_simplex", lambda: fr.SimplicialComplex(("a", "b"), ((a, b), (a,))),
+    ("complex_wrong_size_simplex", lambda: fr.SimplicialComplex(((a, b), (a,))),
      ValueError, "level 1 contains a simplex of the wrong size"),
-    ("complex_trailing_empty_level", lambda: fr.SimplicialComplex(("a",), ((a,), ())),
+    ("complex_trailing_empty_level", lambda: fr.SimplicialComplex(((a,), ())),
      ValueError, "trailing empty simplex levels are not stored"),
     ("simplex_repeated_vertex", lambda: fr.clique_complex(fr.path(2)).simplex(["0", "0"]),
      ValueError, "repeated vertex in simplex"),
