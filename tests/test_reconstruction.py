@@ -19,6 +19,7 @@ from oracles import (
     projective_plane,
     reordered,
     subdivided,
+    suffixed,
     symmetric_graphs,
     unpruned_enumerate_graphs,
 )
@@ -214,17 +215,13 @@ def test_every_card_class_of_a_manifold_with_torsion_reconstructs_the_original()
 # ------------------------------------------------- generated flag manifolds
 
 
-def _c5_join_c5() -> fr.Graph:
-    return fr.join(fr.cycle(5), fr.cycle(5).relabel({str(i): f"b{i}" for i in range(5)}))
-
-
 SUBDIVISION_BASES = [
     fr.cross_polytope(2),
     fr.cross_polytope(3),
     fr.cross_polytope(4),
     fr.torus_grid(4, 4),
     fr.torus_grid(4, 5),
-    _c5_join_c5(),
+    fr.join(fr.cycle(5), suffixed(fr.cycle(5), "b")),
 ]
 
 
