@@ -2,18 +2,19 @@
 
 A complex is its levels: simplices are stored as label tuples sorted by
 the complex's own vertex order, grouped by dimension, and ``labels`` reads
-level 0.  The complex with no vertices is legal and has dimension -1.
+level 0.  The complex with no vertices is legal and has dimension -1.  A
+flag complex records its adjacency rows, and builds its links from them.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from functools import cached_property, reduce
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .graphs import Graph, iter_bits
+from .graphs import Graph, induced_rows, iter_bits
 
 __all__ = [
     "MAX_FACES",
@@ -31,6 +32,7 @@ __all__ = [
 ]
 
 Simplex = tuple[str, ...]
+Levels = tuple[tuple[Simplex, ...], ...]
 
 MAX_FACES = 1 << 16  # faces one built complex may have: complete(16) has 65 535
 
@@ -51,16 +53,19 @@ class SimplicialComplex:
     the cheap invariants.  :func:`build_complex` closes and sorts outside
     face lists; :func:`clique_complex`, :func:`links` and
     :func:`full_subcomplex` make closed, storage-ordered levels directly.
+    ``rows``, on a flag complex made here, has the bitset of the neighbours of
+    ``labels[i]`` at i; it takes no part in equality, hashing or repr.
     """
 
-    simplices: tuple[tuple[Simplex, ...], ...]
+    simplices: Levels
+    rows: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         for k, level in enumerate(self.simplices):
-            if any(len(s) != k + 1 for s in level):
-                raise ValueError(f"level {k} contains a simplex of the wrong size")
             if not level:
                 raise ValueError("trailing empty simplex levels are not stored")
+            if set(map(len, level)) != {k + 1}:
+                raise ValueError(f"level {k} contains a simplex of the wrong size")
 
     @cached_property
     def labels(self) -> tuple[str, ...]:
@@ -147,7 +152,12 @@ def build_complex(labels: Iterable[str], faces: Iterable[Iterable[str]]) -> Simp
 
 
 def clique_complex(g: Graph) -> SimplicialComplex:
-    """The flag complex of ``g``: every clique becomes a simplex.
+    """The flag complex of ``g``, every clique a simplex, with ``g.adj`` as its ``rows``."""
+    return SimplicialComplex(clique_levels(g.labels, g.adj, (1 << len(g.adj)) - 1), g.adj)
+
+
+def clique_levels(labels: Sequence[str], adj: Sequence[int], mask: int) -> Levels:
+    """The levels of the clique complex of the graph ``adj`` induces on bitset ``mask``.
 
     Built level by level from the adjacency bitsets.  Each clique carries
     ``up``, the vertices above its last one that are adjacent to all of it;
@@ -158,20 +168,21 @@ def clique_complex(g: Graph) -> SimplicialComplex:
     the face count past ``MAX_FACES`` raises before it is built: its size is
     the sum of the ``up`` counts.
     """
-    adj, labels = g.adj, g.labels
-    frontier = [((v,), adj[i] & (-1 << (i + 1))) for i, v in enumerate(labels)]
+    frontier = [  # the vertices in the mask, each with its neighbours above it there
+        ((v,), adj[i] & mask >> i + 1 << i + 1) for i, v in enumerate(labels) if mask >> i & 1
+    ]
     levels: list[tuple[Simplex, ...]] = []
     faces = len(frontier)
     while frontier:
-        levels.append(tuple(s for s, _ in frontier))
-        faces += sum(up.bit_count() for _, up in frontier)
+        levels.append(tuple([s for s, _ in frontier]))
+        faces += sum([up.bit_count() for _, up in frontier])
         _check_budget(faces)
         frontier = [
             (s + (labels[v],), up & adj[v] & (-1 << (v + 1)))
             for s, up in frontier
             for v in iter_bits(up)
         ]
-    return SimplicialComplex(tuple(levels))
+    return tuple(levels)
 
 
 # ---------------------------------------------------------------------------
@@ -182,12 +193,16 @@ def clique_complex(g: Graph) -> SimplicialComplex:
 def full_subcomplex(L: SimplicialComplex, t: Iterable[str]) -> SimplicialComplex:
     """The full subcomplex on vertex subset ``t``: all simplices inside ``t``.
 
-    Level k keeps the k-simplices of L that lie inside ``t``, in L's order.
+    With ``rows`` it is the clique complex of the rows induced on ``t``; else
+    level k keeps the k-simplices of L that lie inside ``t``, in L's order.
     """
     wanted = set(t)
     for v in wanted:
         if v not in L._pos:
             raise ValueError(f"unknown vertex {v!r}")
+    if L.rows is not None:
+        mask = sum(1 << L._pos[v] for v in wanted)
+        return SimplicialComplex(clique_levels(L.labels, L.rows, mask), induced_rows(L.rows, mask))
     levels = []
     for level in L.simplices:
         kept = tuple(s for s in level if wanted.issuperset(s))
@@ -200,11 +215,15 @@ def full_subcomplex(L: SimplicialComplex, t: Iterable[str]) -> SimplicialComplex
 def link(L: SimplicialComplex, simplex: Iterable[str]) -> SimplicialComplex:
     """Link of a simplex: faces disjoint from it whose union with it is a face.
 
-    This is the simplex's entry of :func:`links`; a facet's is the empty complex.
+    With ``rows`` it is the full subcomplex on the simplex's common neighbours,
+    else its entry of :func:`links`.  A facet's is the empty complex.
     """
     s = L.simplex(simplex)
     if s not in L._face_set:
         raise ValueError(f"{s} is not a simplex of the complex")
+    if L.rows is not None:
+        common = reduce(int.__and__, (L.rows[L._pos[v]] for v in s))
+        return full_subcomplex(L, [L.labels[i] for i in iter_bits(common)])
     k = len(s) - 1
     return links(L, k)[L.faces(k).index(s)]
 

@@ -48,6 +48,12 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def induced_rows(adj: Sequence[int], mask: int) -> tuple[int, ...]:
+    """Rows of the subgraph induced on bitset ``mask``, its vertices renumbered in order."""
+    bit = {i: 1 << j for j, i in enumerate(iter_bits(mask))}
+    return tuple(sum(map(bit.__getitem__, iter_bits(adj[i] & mask))) for i in bit)
+
+
 @dataclass(frozen=True)
 class Graph:
     """Immutable finite simple graph on labelled vertices.
@@ -151,16 +157,8 @@ def full_subgraph(g: Graph, t: Iterable[str]) -> Graph:
     wanted = set(t)
     for v in wanted:
         g.index(v)  # raises on unknown vertices
-    keep = [i for i, v in enumerate(g.labels) if v in wanted]
-    mask = sum(1 << i for i in keep)
-    new_index = {old: new for new, old in enumerate(keep)}
-    adj = []
-    for i in keep:
-        row = 0
-        for j in iter_bits(g.adj[i] & mask):
-            row |= 1 << new_index[j]
-        adj.append(row)
-    return Graph(tuple(g.labels[i] for i in keep), tuple(adj))
+    mask = sum(1 << i for i, v in enumerate(g.labels) if v in wanted)
+    return Graph(tuple(g.labels[i] for i in iter_bits(mask)), induced_rows(g.adj, mask))
 
 
 def vertex_deleted(g: Graph, s: str) -> Graph:
@@ -204,15 +202,24 @@ def is_connected(g: Graph) -> bool:
     n = g.vertex_count
     if n == 0:
         raise ValueError("connectivity of the empty graph is undefined")
-    seen = 1
-    frontier = 1
-    while frontier:
-        grown = seen
-        for i in iter_bits(frontier):
-            grown |= g.adj[i]
-        frontier = grown & ~seen
-        seen = grown
-    return seen == (1 << n) - 1
+    return components(g.adj, (1 << n) - 1)[2] == 1
+
+
+def components(adj: Sequence[int], mask: int) -> tuple[int, int, int]:
+    """Vertex, edge and component counts of the subgraph ``adj`` induces on bitset ``mask``."""
+    e, c, todo = 0, 0, mask
+    while todo:
+        c += 1
+        stack = todo & -todo
+        todo ^= stack
+        while stack:
+            low = stack & -stack
+            stack ^= low
+            row = adj[low.bit_length() - 1] & mask
+            e += row.bit_count()
+            stack |= row & todo
+            todo &= ~row
+    return mask.bit_count(), e // 2, c
 
 
 # ---------------------------------------------------------------------------

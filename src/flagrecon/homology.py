@@ -18,7 +18,8 @@ from itertools import combinations
 from math import gcd
 from typing import Iterable, Sequence
 
-from .complexes import SimplicialComplex, link
+from .complexes import SimplicialComplex, link, one_skeleton
+from .graphs import components
 
 __all__ = [
     "IntegerMatrix",
@@ -291,18 +292,6 @@ class GradedGroups:
 # ---------------------------------------------------------------------------
 
 
-def components(vertices: Iterable[str], edges: Iterable[tuple[str, str]]) -> tuple[int, int, int]:
-    """Vertex, edge and component counts of a graph, by union-find."""
-    root = {v: v for v in vertices}
-    e = 0
-    for e, (a, b) in enumerate(edges, 1):
-        while root[a] != a or root[b] != b:  # up to both roots, halving the paths
-            root[a] = a = root[root[a]]
-            root[b] = b = root[root[b]]
-        root[a] = b
-    return len(root), e, sum(v == r for v, r in root.items())
-
-
 def graph_homology(v: int, e: int, c: int) -> GradedGroups:
     """Reduced homology of a complex of dimension <= 1 with v vertices, e edges, c components.
 
@@ -319,13 +308,13 @@ def reduced_homology(L: SimplicialComplex) -> GradedGroups:
 
     The augmented chain complex is used, so the empty complex reports Z in
     degree -1.  Up to dimension 1 :func:`graph_homology` reads the groups off
-    a union-find count.  Above it the cells are paired off first, which keeps
+    a bitset component count.  Above it the cells are paired off first, which keeps
     every group over Z, and only the cells left reach the sparse Smith normal
     form.  No call is cached: each analysis keeps its own reuse.
     """
     dim = L.dimension
     if dim <= 1:
-        return graph_homology(*components(L.labels, L.faces(1)))
+        return graph_homology(*components(L.rows or one_skeleton(L).adj, (1 << L.vertex_count) - 1))
     faces, levels = _cells(L)
     alive = _pair_off(faces)
     left = [[c for c in level if alive[c]] for level in levels]  # left[k + 1]: degree k

@@ -4,6 +4,8 @@ A complex is a homology n-manifold when it is pure n-dimensional and the
 link of every simplex has the reduced homology of a sphere of complementary
 dimension; here n is always the complex's own dimension.  Verdicts carry a
 witness on failure and per-dimension counts of verified simplices on success.
+With adjacency ``rows`` the link of sigma is the flag complex on the bitset
+N(sigma) of its common neighbours, empty when sigma is maximal.
 """
 
 from __future__ import annotations
@@ -11,8 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .complexes import Simplex, SimplicialComplex, links
-from .homology import INTEGERS, GradedGroups, components, graph_homology, reduced_homology
+from .complexes import Simplex, SimplicialComplex, clique_levels, links
+from .graphs import components, iter_bits
+from .homology import INTEGERS, GradedGroups, graph_homology, reduced_homology
 
 __all__ = [
     "sphere_homology",
@@ -47,16 +50,46 @@ def maximal_simplices(L: SimplicialComplex) -> list[Simplex]:
     return [s for level in L.simplices for s in level if s not in has_coface]
 
 
-def _first_impure(L: SimplicialComplex) -> Simplex | None:
+def _neighbourhoods(L: SimplicialComplex) -> list[list[int]] | None:
+    """N(sigma) by level in storage order, grown as the cliques are; None without ``rows``."""
+    rows, n = L.rows, L.dimension
+    if rows is None:
+        return None
+    ups = [list(iter_bits(row >> i + 1 << i + 1)) for i, row in enumerate(rows)]
+    out = [list(zip(rows, range(len(rows))))]  # (N(sigma), last vertex of sigma)
+    while len(out) < n:
+        out.append([(c & rows[v], v) for c, i in out[-1] for v in ups[i] if c >> v & 1])
+    return [[c for c, _ in level] for level in out[:n]] + [[0] * len(L.faces(n))]
+
+
+def _first_impure(L: SimplicialComplex, nbhds: list[list[int]] | None) -> Simplex | None:
     """The first maximal simplex below L's dimension, in storage order, if any."""
-    return next((s for s in maximal_simplices(L) if len(s) <= L.dimension), None)
+    maximal = maximal_simplices(L) if nbhds is None else (
+        s for faces, ns in zip(L.simplices, nbhds) for s, common in zip(faces, ns) if not common
+    )
+    return next((s for s in maximal if len(s) <= L.dimension), None)
 
 
 def is_pure(L: SimplicialComplex) -> bool:
     """True when every maximal simplex has dimension ``L.dimension``."""
     if L.dimension == -1:
         raise ValueError("purity of the empty complex is undefined")
-    return _first_impure(L) is None
+    return _first_impure(L, _neighbourhoods(L)) is None
+
+
+def _link_groups(L: SimplicialComplex, lk: SimplicialComplex | int, m: int) -> GradedGroups | None:
+    """None when a link of dimension <= m has the homology of the m-sphere, else
+    its reduced homology.  ``lk`` is the link or, with ``rows``, N(sigma): up to
+    m = 1 counts give the groups, and above its flag complex is built."""
+    if isinstance(lk, int):
+        if m <= 1:
+            v, e, c = components(L.rows, lk) if m == 1 else (lk.bit_count(), 0, lk.bit_count())
+            if (e, c) == ((0, 0), (0, 2), (v, 1))[m + 1]:  # the (-1)-, 0- and 1-sphere
+                return None
+            return graph_homology(v, e, c)
+        lk = SimplicialComplex(clique_levels(L.labels, L.rows, lk))
+    h = reduced_homology(lk)
+    return None if h == sphere_homology(m) else h
 
 
 @dataclass
@@ -83,11 +116,13 @@ def is_homology_manifold(L: SimplicialComplex) -> ManifoldVerdict:
     compares its link's reduced homology against the sphere of complementary
     dimension.  Stops at the first failure and reports it as the witness.
     Equal links (antipodes of a cross-polytope) are computed once per walk.
+    With ``rows`` each link is tested as it is made, from N(sigma).
     """
     n = L.dimension
     if n == -1:
         raise ValueError("the empty complex is not tested for manifoldness")
-    s = _first_impure(L)
+    nbhds = _neighbourhoods(L)
+    s = _first_impure(L, nbhds)
     if s is not None:
         witness = ManifoldWitness(
             s,
@@ -95,15 +130,14 @@ def is_homology_manifold(L: SimplicialComplex) -> ManifoldVerdict:
             f"maximal simplex of dimension {len(s) - 1} in a complex tested at dimension {n}",
         )
         return ManifoldVerdict(False, n, witness)
-    seen: dict[SimplicialComplex, GradedGroups] = {}
+    seen: dict[SimplicialComplex | int, GradedGroups | None] = {}  # by link, or by N(sigma)
     for k, level in enumerate(L.simplices):
-        expected = sphere_homology(n - k - 1)
-        for s, lk in zip(level, links(L, k)):
-            link_hom = seen[lk] if lk in seen else seen.setdefault(lk, reduced_homology(lk))
-            if link_hom != expected:
+        for s, lk in zip(level, links(L, k) if nbhds is None else nbhds[k]):
+            h = seen[lk] if lk in seen else seen.setdefault(lk, _link_groups(L, lk, n - k - 1))
+            if h is not None:
                 witness = ManifoldWitness(
                     s,
-                    link_hom.shifted(k + 1),
+                    h.shifted(k + 1),
                     f"link homology differs from the {n - k - 1}-sphere",
                 )
                 return ManifoldVerdict(False, n, witness)
@@ -159,40 +193,16 @@ def boundary_of(L: SimplicialComplex) -> frozenset[str]:
     Interior vertices of a homology n-manifold (n = ``L.dimension``, and L
     must be pure) have vertex links with the homology of the (n-1)-sphere;
     boundary vertices have homologically trivial links.  Anything else raises
-    :class:`BoundaryPatternError`.  Up to dimension 2 the vertex links are
-    graphs read off L's edges and triangles, purity included (no empty link;
-    at n = 2 no isolated link vertex); above, one pass builds the links.
+    :class:`BoundaryPatternError`.  Purity and the vertex links are read as
+    the manifold walk reads them: with ``rows``, up to n = 2 from counts.
     """
     n = L.dimension
     if n == -1:
         raise ValueError("the empty complex has no boundary")
-    if n <= 2:
-        link_vertices: dict[str, list[str]] = {v: [] for v in L.labels}
-        for a, b in L.faces(1):
-            link_vertices[a].append(b)
-            link_vertices[b].append(a)
-        link_edges: dict[str, list[Simplex]] = {v: [] for v in L.labels}
-        for a, b, c in L.faces(2):
-            link_edges[a].append((b, c))
-            link_edges[b].append((a, c))
-            link_edges[c].append((a, b))
-        pure = all(
-            not n or lv and (n == 1 or len(set().union(*link_edges[v])) == len(lv))
-            for v, lv in link_vertices.items()
-        )
-        shapes = [components(link_vertices[v], link_edges[v]) for v in L.labels]
-        groups = {s: graph_homology(*s) for s in set(shapes)}
-        hs = [groups[s] for s in shapes]
-    else:
-        pure = is_pure(L)
-        hs = map(reduced_homology, links(L, 0)) if pure else []
-    if not pure:
+    if not is_pure(L):
         raise ValueError(f"complex is not pure of dimension {n}")
-    interior = sphere_homology(n - 1)
-    out = []
+    hs = [_link_groups(L, lk, n - 1) for lk in (links(L, 0) if L.rows is None else L.rows)]
     for v, h in zip(L.labels, hs):
-        if h.is_trivial_everywhere:
-            out.append(v)
-        elif h != interior:
+        if h is not None and not h.is_trivial_everywhere:
             raise BoundaryPatternError(v, h.shifted(1), n)
-    return frozenset(out)
+    return frozenset(v for v, h in zip(L.labels, hs) if h is not None)

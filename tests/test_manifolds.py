@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import flagrecon as fr
 from oracles import (
     face_list_complexes,
+    graphs,
     hub,
     links_boundary_of,
     projective_plane,
@@ -342,3 +343,61 @@ def test_boundary_of_every_pure_2_complex_matches_the_links_oracle(faces):
     L = fr.parse_complex("\n".join(" ".join(f) for f in sorted(faces)))
     assert L.dimension == 2
     assert rim(fr.boundary_of, L) == rim(links_boundary_of, L)
+
+
+# ------------------------------------------ flag links vs. the face-level walk
+
+MANIFOLD_BASES = [
+    fr.cross_polytope(2),
+    fr.cross_polytope(3),
+    fr.cross_polytope(4),
+    fr.torus_grid(4, 4),
+    fr.join(fr.cycle(5), suffixed(fr.cycle(5), "'")),
+]
+
+
+def wedged(g, h):
+    """``g`` and a copy of ``h`` glued at their first vertices."""
+    h = h.relabel({v: v + "~" for v in h.labels} | {h.labels[0]: g.labels[0]})
+    return fr.Graph.from_edges(g.labels + h.labels[1:], g.edges() + h.edges())
+
+
+def toggled(g, u, v):
+    """``g`` with the pair u, v made an edge if it is none, and no edge if it is one."""
+    edges = set(g.edges()) ^ {tuple(sorted((u, v), key=g.index))}
+    return fr.Graph.from_edges(g.labels, edges)
+
+
+@st.composite
+def flag_graphs(draw):
+    """A random graph; or a subdivided flag manifold, plain, with one vertex pair
+    toggled, coned off, or wedged at a vertex with another."""
+    kind = draw(st.sampled_from(["random", "manifold", "toggled", "cone", "wedge"]))
+    if kind == "random":
+        return draw(graphs(max_n=10))
+    manifold = st.builds(
+        subdivided, st.sampled_from(MANIFOLD_BASES), st.integers(0, 5), st.integers(0, 999)
+    )
+    g = draw(manifold)
+    if kind == "toggled":
+        pair = st.lists(st.sampled_from(g.labels), min_size=2, max_size=2, unique=True)
+        return toggled(g, *draw(pair))
+    if kind == "cone":
+        return fr.join(g, hub())
+    return wedged(g, draw(manifold)) if kind == "wedge" else g
+
+
+@settings(max_examples=120)
+@given(flag_graphs())
+def test_flag_links_give_the_verdicts_of_the_face_level_walk(g):
+    L = fr.clique_complex(g)
+    faces = fr.build_complex(L.labels, fr.maximal_simplices(L))  # the same complex, with no rows
+    assert faces == L and L.rows is not None and faces.rows is None
+    verdict = fr.is_homology_manifold(L)
+    assert verdict == fr.is_homology_manifold(faces)  # witness and verified counts included
+    if verdict.witness:
+        s = verdict.witness.simplex
+        local = verdict.witness.local_homology
+        assert fr.local_homology(L, s) == fr.local_homology(faces, s) == local
+    assert fr.is_pure(L) == fr.is_pure(faces)
+    assert rim(fr.boundary_of, L) == rim(fr.boundary_of, faces)

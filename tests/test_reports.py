@@ -199,7 +199,7 @@ def test_one_report_computes_each_fact_once(monkeypatch):
         "is_virtual_pd": 1,
         "condition3_vanishing": 1,
         "link": 0,
-        "links": 3,  # one pass per dimension of the 5x5 torus, k = 0, 1, 2
+        "links": 0,  # the nerve records its rows: every link of the torus is read off counts
     }
     counts = count_calls(monkeypatch, expected)
     analysis_report(fr.torus_grid(5, 5), source_format="graph6")
@@ -264,7 +264,17 @@ def test_card_recovery_in_dimension_3_builds_the_vertex_links_in_one_pass(monkey
     card = fr.vertex_deleted(g, g.labels[0])
     counts = count_calls(monkeypatch, ["clique_complex", "build_complex", "link", "links"])
     assert fr.are_isomorphic(fr.reconstruct_from_card(card, 3), g)
-    assert counts == {"clique_complex": 1, "build_complex": 0, "link": 0, "links": 1}
+    # each vertex link is the clique complex of the vertex's neighbourhood, built alone
+    assert counts == {"clique_complex": 1, "build_complex": 0, "link": 0, "links": 0}
+
+
+def test_the_walk_on_a_simplex_computes_one_link(monkeypatch):
+    # complete(12)'s nerve is one 11-simplex: the link of vertex 0, a 10-simplex, is the
+    # witness, and no other link is built before it
+    L = fr.clique_complex(fr.complete(12))
+    counts = count_calls(monkeypatch, ["reduced_homology", "links"])
+    assert fr.is_homology_manifold(L).witness.simplex == ("0",)
+    assert counts == {"reduced_homology": 1, "links": 0}
 
 
 @pytest.mark.parametrize(
