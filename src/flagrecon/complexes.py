@@ -3,7 +3,7 @@
 A complex is its levels: simplices are stored as label tuples sorted by
 the complex's own vertex order, grouped by dimension, and ``labels`` reads
 level 0.  The complex with no vertices is legal and has dimension -1.  A
-flag complex records its adjacency rows, and builds its links from them.
+flag complex made here is marked so, and reads its links off its rows.
 """
 
 from __future__ import annotations
@@ -12,9 +12,9 @@ import itertools
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .graphs import Graph, induced_rows, iter_bits
+from .graphs import Graph, iter_bits
 
 __all__ = [
     "MAX_FACES",
@@ -53,12 +53,12 @@ class SimplicialComplex:
     the cheap invariants.  :func:`build_complex` closes and sorts outside
     face lists; :func:`clique_complex`, :func:`links` and
     :func:`full_subcomplex` make closed, storage-ordered levels directly.
-    ``rows``, on a flag complex made here, has the bitset of the neighbours of
-    ``labels[i]`` at i; it takes no part in equality, hashing or repr.
+    ``_flag`` marks the flag complexes this module makes; it is no constructor
+    argument, takes no part in equality, hashing or repr, and gates ``rows``.
     """
 
     simplices: Levels
-    rows: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
+    _flag: bool = field(default=False, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         for k, level in enumerate(self.simplices):
@@ -78,6 +78,19 @@ class SimplicialComplex:
     @cached_property
     def _face_set(self) -> frozenset[Simplex]:
         return frozenset(s for level in self.simplices for s in level)
+
+    @cached_property
+    def rows(self) -> tuple[int, ...] | None:
+        """On a flag complex made here, the bitset of the neighbours of ``labels[i]`` at i."""
+        return one_skeleton(self).adj if self._flag else None
+
+    @cached_property
+    def neighbourhoods(self) -> list[list[int]] | None:
+        """On a flag complex made here, each simplex's common neighbours N(sigma) as a
+        bitset, by level in storage order (0 for a maximal simplex)."""
+        if self.rows is None:
+            return None
+        return [[c for _, _, c in level] for level in _cliques(self.labels, self.rows, -1)]
 
     @property
     def dimension(self) -> int:
@@ -151,38 +164,42 @@ def build_complex(labels: Iterable[str], faces: Iterable[Iterable[str]]) -> Simp
 # ---------------------------------------------------------------------------
 
 
-def clique_complex(g: Graph) -> SimplicialComplex:
-    """The flag complex of ``g``, every clique a simplex, with ``g.adj`` as its ``rows``."""
-    return SimplicialComplex(clique_levels(g.labels, g.adj, (1 << len(g.adj)) - 1), g.adj)
+def _cliques(labels: Sequence[str], adj: Sequence[int], mask: int) -> Iterator[list]:
+    """Each level of the clique complex ``adj`` induces on bitset ``mask`` (-1 for
+    all) as (clique, position of its last vertex, its common neighbours) triples.
+
+    Level k + 1 extends each k-clique by each common neighbour v above its
+    last vertex, so each level comes out in lexicographic order of positions,
+    the storage order.  A level that takes the face count past ``MAX_FACES``
+    raises before it is built.
+    """
+    frontier = [((v,), i, adj[i] & mask) for i, v in enumerate(labels) if mask >> i & 1]
+    faces = len(frontier)
+    while frontier:
+        yield frontier
+        faces += sum([(c >> i + 1).bit_count() for _, i, c in frontier])
+        _check_budget(faces)
+        frontier = [
+            (s + (labels[v],), v, c & adj[v])
+            for s, i, c in frontier
+            for v in iter_bits(c >> i + 1 << i + 1)
+        ]
 
 
 def clique_levels(labels: Sequence[str], adj: Sequence[int], mask: int) -> Levels:
-    """The levels of the clique complex of the graph ``adj`` induces on bitset ``mask``.
+    """The levels of the clique complex of the graph ``adj`` induces on bitset ``mask``."""
+    return tuple(tuple([s for s, _, _ in level]) for level in _cliques(labels, adj, mask))
 
-    Built level by level from the adjacency bitsets.  Each clique carries
-    ``up``, the vertices above its last one that are adjacent to all of it;
-    a vertex starts with its neighbours above it.  Level k + 1 extends each
-    k-clique by each v in its ``up``, with ``up & adj[v]`` above v as the new
-    ``up``.  So every face is made once, and each level comes out in
-    lexicographic order of positions, the storage order.  A level that takes
-    the face count past ``MAX_FACES`` raises before it is built: its size is
-    the sum of the ``up`` counts.
-    """
-    frontier = [  # the vertices in the mask, each with its neighbours above it there
-        ((v,), adj[i] & mask >> i + 1 << i + 1) for i, v in enumerate(labels) if mask >> i & 1
-    ]
-    levels: list[tuple[Simplex, ...]] = []
-    faces = len(frontier)
-    while frontier:
-        levels.append(tuple([s for s, _ in frontier]))
-        faces += sum([up.bit_count() for _, up in frontier])
-        _check_budget(faces)
-        frontier = [
-            (s + (labels[v],), up & adj[v] & (-1 << (v + 1)))
-            for s, up in frontier
-            for v in iter_bits(up)
-        ]
-    return tuple(levels)
+
+def clique_complex(g: Graph) -> SimplicialComplex:
+    """The flag complex of ``g``, every clique a simplex, with its rows and neighbourhoods."""
+    levels, common = [], []
+    for level in _cliques(g.labels, g.adj, -1):
+        levels.append(tuple([s for s, _, _ in level]))
+        common.append([c for _, _, c in level])
+    L = SimplicialComplex(tuple(levels))
+    L.__dict__.update(_flag=True, rows=g.adj, neighbourhoods=common)  # rows, N(sigma) known here
+    return L
 
 
 # ---------------------------------------------------------------------------
@@ -193,30 +210,29 @@ def clique_levels(labels: Sequence[str], adj: Sequence[int], mask: int) -> Level
 def full_subcomplex(L: SimplicialComplex, t: Iterable[str]) -> SimplicialComplex:
     """The full subcomplex on vertex subset ``t``: all simplices inside ``t``.
 
-    With ``rows`` it is the clique complex of the rows induced on ``t``; else
-    level k keeps the k-simplices of L that lie inside ``t``, in L's order.
+    Level k keeps the k-simplices of L that lie inside ``t``, in L's order.
+    A full subcomplex of a flag complex is flag, and is marked so.
     """
     wanted = set(t)
     for v in wanted:
         if v not in L._pos:
             raise ValueError(f"unknown vertex {v!r}")
-    if L.rows is not None:
-        mask = sum(1 << L._pos[v] for v in wanted)
-        return SimplicialComplex(clique_levels(L.labels, L.rows, mask), induced_rows(L.rows, mask))
     levels = []
     for level in L.simplices:
         kept = tuple(s for s in level if wanted.issuperset(s))
         if not kept:
             break
         levels.append(kept)
-    return SimplicialComplex(tuple(levels))
+    sub = SimplicialComplex(tuple(levels))
+    object.__setattr__(sub, "_flag", L._flag)
+    return sub
 
 
 def link(L: SimplicialComplex, simplex: Iterable[str]) -> SimplicialComplex:
     """Link of a simplex: faces disjoint from it whose union with it is a face.
 
-    With ``rows`` it is the full subcomplex on the simplex's common neighbours,
-    else its entry of :func:`links`.  A facet's is the empty complex.
+    The full subcomplex on its common neighbours, or without ``rows`` its
+    entry of :func:`links`.  A facet's is the empty complex.
     """
     s = L.simplex(simplex)
     if s not in L._face_set:

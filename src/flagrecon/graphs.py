@@ -48,12 +48,6 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def induced_rows(adj: Sequence[int], mask: int) -> tuple[int, ...]:
-    """Rows of the subgraph induced on bitset ``mask``, its vertices renumbered in order."""
-    bit = {i: 1 << j for j, i in enumerate(iter_bits(mask))}
-    return tuple(sum(map(bit.__getitem__, iter_bits(adj[i] & mask))) for i in bit)
-
-
 @dataclass(frozen=True)
 class Graph:
     """Immutable finite simple graph on labelled vertices.
@@ -158,7 +152,9 @@ def full_subgraph(g: Graph, t: Iterable[str]) -> Graph:
     for v in wanted:
         g.index(v)  # raises on unknown vertices
     mask = sum(1 << i for i, v in enumerate(g.labels) if v in wanted)
-    return Graph(tuple(g.labels[i] for i in iter_bits(mask)), induced_rows(g.adj, mask))
+    bit = {i: 1 << j for j, i in enumerate(iter_bits(mask))}  # old position -> new bit
+    adj = tuple(sum(map(bit.__getitem__, iter_bits(g.adj[i] & mask))) for i in bit)
+    return Graph(tuple(g.labels[i] for i in bit), adj)
 
 
 def vertex_deleted(g: Graph, s: str) -> Graph:

@@ -4,8 +4,7 @@ A complex is a homology n-manifold when it is pure n-dimensional and the
 link of every simplex has the reduced homology of a sphere of complementary
 dimension; here n is always the complex's own dimension.  Verdicts carry a
 witness on failure and per-dimension counts of verified simplices on success.
-With adjacency ``rows`` the link of sigma is the flag complex on the bitset
-N(sigma) of its common neighbours, empty when sigma is maximal.
+On a flag complex the link of sigma is the flag complex on its common neighbours N(sigma).
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .complexes import Simplex, SimplicialComplex, clique_levels, links
-from .graphs import components, iter_bits
+from .graphs import components
 from .homology import INTEGERS, GradedGroups, graph_homology, reduced_homology
 
 __all__ = [
@@ -50,20 +49,9 @@ def maximal_simplices(L: SimplicialComplex) -> list[Simplex]:
     return [s for level in L.simplices for s in level if s not in has_coface]
 
 
-def _neighbourhoods(L: SimplicialComplex) -> list[list[int]] | None:
-    """N(sigma) by level in storage order, grown as the cliques are; None without ``rows``."""
-    rows, n = L.rows, L.dimension
-    if rows is None:
-        return None
-    ups = [list(iter_bits(row >> i + 1 << i + 1)) for i, row in enumerate(rows)]
-    out = [list(zip(rows, range(len(rows))))]  # (N(sigma), last vertex of sigma)
-    while len(out) < n:
-        out.append([(c & rows[v], v) for c, i in out[-1] for v in ups[i] if c >> v & 1])
-    return [[c for c, _ in level] for level in out[:n]] + [[0] * len(L.faces(n))]
-
-
-def _first_impure(L: SimplicialComplex, nbhds: list[list[int]] | None) -> Simplex | None:
+def _first_impure(L: SimplicialComplex) -> Simplex | None:
     """The first maximal simplex below L's dimension, in storage order, if any."""
+    nbhds = L.neighbourhoods
     maximal = maximal_simplices(L) if nbhds is None else (
         s for faces, ns in zip(L.simplices, nbhds) for s, common in zip(faces, ns) if not common
     )
@@ -74,7 +62,7 @@ def is_pure(L: SimplicialComplex) -> bool:
     """True when every maximal simplex has dimension ``L.dimension``."""
     if L.dimension == -1:
         raise ValueError("purity of the empty complex is undefined")
-    return _first_impure(L, _neighbourhoods(L)) is None
+    return _first_impure(L) is None
 
 
 def _link_groups(L: SimplicialComplex, lk: SimplicialComplex | int, m: int) -> GradedGroups | None:
@@ -121,8 +109,7 @@ def is_homology_manifold(L: SimplicialComplex) -> ManifoldVerdict:
     n = L.dimension
     if n == -1:
         raise ValueError("the empty complex is not tested for manifoldness")
-    nbhds = _neighbourhoods(L)
-    s = _first_impure(L, nbhds)
+    s = _first_impure(L)
     if s is not None:
         witness = ManifoldWitness(
             s,
@@ -132,7 +119,7 @@ def is_homology_manifold(L: SimplicialComplex) -> ManifoldVerdict:
         return ManifoldVerdict(False, n, witness)
     seen: dict[SimplicialComplex | int, GradedGroups | None] = {}  # by link, or by N(sigma)
     for k, level in enumerate(L.simplices):
-        for s, lk in zip(level, links(L, k) if nbhds is None else nbhds[k]):
+        for s, lk in zip(level, links(L, k) if L.rows is None else L.neighbourhoods[k]):
             h = seen[lk] if lk in seen else seen.setdefault(lk, _link_groups(L, lk, n - k - 1))
             if h is not None:
                 witness = ManifoldWitness(

@@ -1,5 +1,7 @@
 """Flag complexes, links, and full subcomplexes."""
 
+import dataclasses
+from functools import reduce
 from itertools import combinations
 
 import pytest
@@ -15,6 +17,7 @@ from oracles import (
     face_list_complexes,
     graphs,
     hub,
+    projective_plane,
     reclosed_full_subcomplex,
     reclosed_link,
     reordered,
@@ -174,7 +177,30 @@ def test_full_subcomplex_of_flag_is_flag(g, data):
     t = data.draw(st.sets(st.sampled_from(g.labels)))
     sub = fr.full_subcomplex(fr.clique_complex(g), t)
     assert fr.is_flag(sub)
-    assert sub == fr.clique_complex(fr.full_subgraph(g, t))
+    flag = fr.clique_complex(fr.full_subgraph(g, t))
+    assert sub == flag and sub.rows == flag.rows
+    assert sub.neighbourhoods == flag.neighbourhoods  # computed on sub, filled in on flag
+
+
+@given(graphs(min_n=0, max_n=8))
+def test_neighbourhoods_are_the_common_neighbours_in_storage_order(g):
+    L = fr.clique_complex(g)
+    row = dict(zip(g.labels, g.adj))
+    common = [[reduce(int.__and__, map(row.get, s)) for s in level] for level in L.simplices]
+    assert L.neighbourhoods == common
+    assert fr.full_subcomplex(L, g.labels).neighbourhoods == common
+
+
+def test_rows_come_only_from_the_flag_complexes_this_module_makes():
+    # rows choose the flag walk, so the rows of another complex cannot be handed in or carried over
+    rp2 = projective_plane()
+    simplex = fr.clique_complex(fr.one_skeleton(rp2))  # the 5-simplex on the same 6 vertices
+    with pytest.raises(TypeError):
+        fr.SimplicialComplex(rp2.simplices, simplex.rows)
+    copy = dataclasses.replace(simplex, simplices=rp2.simplices)
+    assert copy.rows is None and copy.neighbourhoods is None
+    assert fr.is_homology_manifold(copy) == fr.is_homology_manifold(rp2)
+    assert fr.is_homology_manifold(copy).is_manifold
 
 
 def test_full_subcomplex_keeps_only_inside_faces():
