@@ -13,8 +13,9 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .formats import FormatError, emit_graph6, parse_edge_list, parse_graph6
-from .graphs import FAMILIES, canonical_form, generate, graph_from_canonical_form
+from .formats import FormatError, emit_graph6, graph6_from_canonical_form, parse_edge_list
+from .formats import parse_graph6
+from .graphs import FAMILIES, canonical_form, generate
 from .reconstruction import (
     VERDICT_NONE,
     brute_force_oracle,
@@ -111,9 +112,7 @@ def _cmd_deck(args: argparse.Namespace) -> int:
             f"cards of a {g.vertex_count}-vertex graph have {g.vertex_count - 1} vertices; "
             "short-form graph6 carries at most 62 vertices"
         )
-    for card, mult in sorted(
-        (emit_graph6(graph_from_canonical_form(c)), m) for c, m in deck(g).cards.items()
-    ):
+    for card, mult in sorted((graph6_from_canonical_form(c), m) for c, m in deck(g).cards.items()):
         print(f"{card} {mult}")
     return 0
 

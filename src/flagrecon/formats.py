@@ -12,13 +12,14 @@ import re
 from typing import Iterator
 
 from .complexes import SimplicialComplex, build_complex
-from .graphs import Graph, pack_triangle, unpack_triangle
+from .graphs import Graph, certificate_bits, pack_triangle, unpack_triangle
 
 __all__ = [
     "FormatError",
     "MAX_EDGE_LIST_VERTICES",
     "parse_graph6",
     "emit_graph6",
+    "graph6_from_canonical_form",
     "parse_edge_list",
     "parse_complex",
 ]
@@ -60,10 +61,10 @@ def parse_graph6(text: str) -> Graph:
         if not 63 <= ch <= 126:
             raise FormatError(f"graph6 byte {ch} out of range")
         packed = packed << 6 | ch - 63
-    try:
-        return unpack_triangle(n, packed, 6)
-    except ValueError:
-        raise FormatError("graph6 padding bits must be zero") from None
+    packed, padding = divmod(packed, 1 << 6 * expected - n * (n - 1) // 2)
+    if padding:
+        raise FormatError("graph6 padding bits must be zero")
+    return unpack_triangle(n, packed)
 
 
 def emit_graph6(g: Graph) -> str:
@@ -72,10 +73,19 @@ def emit_graph6(g: Graph) -> str:
     The encoding follows the graph's own vertex order, so round-trips
     through :func:`parse_graph6` are byte-identical.
     """
-    n = g.vertex_count
+    return _graph6(g.vertex_count, pack_triangle(g.adj) if g.vertex_count <= 62 else 0)
+
+
+def graph6_from_canonical_form(cert: bytes) -> str:
+    """``emit_graph6(graph_from_canonical_form(cert))``, read off the certificate's bits."""
+    return _graph6(*certificate_bits(cert))
+
+
+def _graph6(n: int, bits: int) -> str:
+    """The graph6 line of the n-vertex graph with these unpadded layout bits."""
     if n > 62:
         raise FormatError("short-form graph6 carries at most 62 vertices")
-    packed, m = pack_triangle(g.adj, 6), (n * (n - 1) // 2 + 5) // 6
+    packed, m = bits << -(n * (n - 1) // 2) % 6, (n * (n - 1) // 2 + 5) // 6
     return chr(n + 63) + "".join(chr(63 + (packed >> 6 * k & 63)) for k in reversed(range(m)))
 
 

@@ -7,7 +7,8 @@ dozens-of-vertices scale this library targets.
 
 graph6 and canonical certificates share one bit layout, coded once in
 :func:`pack_triangle` and :func:`unpack_triangle`; only the byte width
-differs.  ``canonical_form`` keeps no cache.
+differs, so a deck prints graph6 straight from certificate bits.  Cards are
+cut from the graph's bit rows.  ``canonical_form`` keeps no cache.
 """
 
 from __future__ import annotations
@@ -71,10 +72,15 @@ class Graph:
                 raise ValueError("adjacency bits reference unknown vertices")
             if row >> i & 1:
                 raise ValueError(f"self-loop at vertex {self.labels[i]!r}")
-        for i in range(n):
-            for j in iter_bits(self.adj[i]):
+        above = 0  # bits above the diagonal: each has its mirror, and as many lie below
+        for i, row in enumerate(self.adj):
+            row = row >> i + 1 << i + 1
+            above += row.bit_count()
+            for j in iter_bits(row):
                 if not self.adj[j] >> i & 1:
                     raise ValueError("adjacency must be symmetric")
+        if 2 * above != sum(row.bit_count() for row in self.adj):
+            raise ValueError("adjacency must be symmetric")
 
     @classmethod
     def from_edges(
@@ -158,9 +164,11 @@ def full_subgraph(g: Graph, t: Iterable[str]) -> Graph:
 
 
 def vertex_deleted(g: Graph, s: str) -> Graph:
-    """The card of ``g`` at ``s``: delete the vertex and its incident edges."""
-    g.index(s)
-    return full_subgraph(g, (v for v in g.labels if v != s))
+    """The card of ``g`` at ``s``: other rows keep their bits below it, the rest shift down."""
+    i = g.index(s)
+    low = (1 << i) - 1
+    adj = tuple(row & low | row >> 1 & ~low for row in g.adj[:i] + g.adj[i + 1 :])
+    return Graph(g.labels[:i] + g.labels[i + 1 :], adj)
 
 
 def complement(g: Graph) -> Graph:
@@ -299,35 +307,30 @@ def _is_homogeneous(adj: Sequence[int], cells: list[list[int]]) -> bool:
     return True
 
 
-def pack_triangle(adj: Sequence[int], width: int) -> int:
+def pack_triangle(adj: Sequence[int]) -> int:
     """The upper-triangle adjacency bits of the graph with rows ``adj``, as one int.
 
     The bits run column by column, (0,1), (0,2), (1,2), (0,3), ..., the first
-    one highest; zero bits pad them to whole bytes of ``width`` bits.
+    one highest.  Each format pads them to whole bytes of its own width.
     """
     n = len(adj)
-    nbits = n * (n - 1) // 2
     stream = 0  # the layout backwards: bit k holds its k-th bit
     for j in range(n - 1, 0, -1):
         stream = stream << j | adj[j] & ((1 << j) - 1)
-    # reverse the binary digits, then restore the zeros that led them and pad
-    return int(bin(stream)[:1:-1], 2) << (nbits - stream.bit_length() + (-nbits % width))
+    # reverse the binary digits, then restore the zeros that led them
+    return int(bin(stream)[:1:-1], 2) << (n * (n - 1) // 2 - stream.bit_length())
 
 
-def unpack_triangle(n: int, packed: int, width: int) -> Graph:
+def unpack_triangle(n: int, packed: int) -> Graph:
     """The graph on vertices 0..n-1 that :func:`pack_triangle` packs to ``packed``.
 
-    Raises ``ValueError("malformed certificate")`` when a padding bit is set.
+    Reversed, its bits hold the row of vertex j below the diagonal from bit j(j-1)/2 on.
     """
-    packed, padding = divmod(packed, 1 << (-(n * (n - 1) // 2) % width))
-    if padding:
-        raise ValueError("malformed certificate")
-    adj = [0] * n
-    for j in range(n - 1, 0, -1):  # the last column is lowest; its first row highest
-        for k in iter_bits(packed & ((1 << j) - 1)):
-            adj[j] |= 1 << (j - 1 - k)
-            adj[j - 1 - k] |= 1 << j
-        packed >>= j
+    stream = int(bin(packed | 1 << n * (n - 1) // 2)[:2:-1] or "0", 2)  # 1 keeps leading 0s
+    adj = [stream >> j * (j - 1) // 2 & (1 << j) - 1 for j in range(n)]
+    for j in range(n):  # row j gains its bits above the diagonal only after this
+        for i in iter_bits(adj[j]):
+            adj[i] |= 1 << j
     return Graph(_range_labels(n), tuple(adj))
 
 
@@ -343,7 +346,8 @@ def _certificate(nbrs: Sequence[Sequence[int]], order: Sequence[int]) -> bytes:
         for u in nbrs[v]:
             row |= bit[u]
         rows.append(row)
-    return pack_triangle(rows, 8).to_bytes((n * (n - 1) // 2 + 7) // 8, "big")
+    nbits = n * (n - 1) // 2
+    return (pack_triangle(rows) << -nbits % 8).to_bytes((nbits + 7) // 8, "big")
 
 
 def _orbit_roots(n: int, perms: Iterable[Sequence[int]]) -> list[int]:
@@ -423,13 +427,19 @@ def vertex_orbits(g: Graph) -> list[tuple[str, ...]]:
     return [tuple(v for v, x in zip(g.labels, roots) if x == r) for r in sorted(set(roots))]
 
 
-def graph_from_canonical_form(cert: bytes) -> Graph:
-    """Decode a certificate back into its canonically labelled representative."""
+def certificate_bits(cert: bytes) -> tuple[int, int]:
+    """The order of the graph ``cert`` certifies and its layout bits, less the padding."""
     head, sep, packed = cert.partition(b":")
     n = int(head) if head.isdigit() else -1
-    if not sep or n < 0 or len(packed) != (n * (n - 1) // 2 + 7) // 8:
+    bits, padding = divmod(int.from_bytes(packed, "big"), 1 << -(n * (n - 1) // 2) % 8)
+    if not sep or n < 0 or len(packed) != (n * (n - 1) // 2 + 7) // 8 or padding:
         raise ValueError("malformed certificate")
-    return unpack_triangle(n, int.from_bytes(packed, "big"), 8)
+    return n, bits
+
+
+def graph_from_canonical_form(cert: bytes) -> Graph:
+    """Decode a certificate back into its canonically labelled representative."""
+    return unpack_triangle(*certificate_bits(cert))
 
 
 def are_isomorphic(g1: Graph, g2: Graph) -> bool:

@@ -180,15 +180,15 @@ def boundary_of(L: SimplicialComplex) -> frozenset[str]:
     Interior vertices of a homology n-manifold (n = ``L.dimension``, and L
     must be pure) have vertex links with the homology of the (n-1)-sphere;
     boundary vertices have homologically trivial links.  Anything else raises
-    :class:`BoundaryPatternError`.  Purity and the vertex links are read as
-    the manifold walk reads them: with ``rows``, up to n = 2 from counts.
+    :class:`BoundaryPatternError`.  Purity is read as the walk reads it, the
+    vertex links with ``rows`` up to n = 2 from counts, else from one ``links`` pass.
     """
     n = L.dimension
     if n == -1:
         raise ValueError("the empty complex has no boundary")
     if not is_pure(L):
         raise ValueError(f"complex is not pure of dimension {n}")
-    hs = [_link_groups(L, lk, n - 1) for lk in (links(L, 0) if L.rows is None else L.rows)]
+    hs = [_link_groups(L, lk, n - 1) for lk in (links(L, 0) if L.rows is None or n > 2 else L.rows)]
     for v, h in zip(L.labels, hs):
         if h is not None and not h.is_trivial_everywhere:
             raise BoundaryPatternError(v, h.shifted(1), n)

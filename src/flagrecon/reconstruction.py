@@ -134,13 +134,6 @@ def _certify(ns: NerveSystem) -> Certificate:
     return Certificate(VERDICT_NONE, None, manifold, pd, NO_CERTIFICATE_CAVEAT)
 
 
-def _fresh_label(taken: tuple[str, ...]) -> str:
-    label = "*"
-    while label in taken:
-        label += "*"
-    return label
-
-
 def reconstruct_from_card(card: Graph, n: int) -> Graph:
     """Recover a graph from one card, assuming the original's clique complex
     is a homology n-manifold without boundary.
@@ -159,9 +152,12 @@ def reconstruct_from_card(card: Graph, n: int) -> Graph:
     if L.dimension != n:
         raise ValueError(f"the card's clique complex has dimension {L.dimension}, not {n}")
     rim = boundary_of(L)
-    label = _fresh_label(card.labels)
-    edges = card.edges() + [(label, v) for v in sorted(rim, key=card.index)]
-    return Graph.from_edges(card.labels + (label,), edges)
+    mask = sum(1 << i for i, v in enumerate(card.labels) if v in rim)
+    label = "*"  # the first of *, **, ... the card does not use
+    while label in card.labels:
+        label += "*"
+    adj = [row | (mask >> i & 1) << card.vertex_count for i, row in enumerate(card.adj)]
+    return Graph(card.labels + (label,), (*adj, mask))
 
 
 def enumerate_graphs(n: int) -> list[Graph]:

@@ -22,6 +22,7 @@ from flagrecon import (
     IntegerMatrix,
     NerveSystem,
     SimplicialComplex,
+    boundary_of,
     complement,
     complete_multipartite,
     cross_polytope,
@@ -336,6 +337,23 @@ def subdivided(g: Graph, steps: int, seed: int) -> Graph:
         for x in adj[w]:
             adj[x].add(w)
     return Graph.from_edges(list(adj), [(a, b) for a in adj for b in adj[a] if a < b])
+
+
+def edge_list_reconstruct(card: Graph, n: int) -> Graph:
+    """``reconstruct_from_card`` as an edge list: the library's former route.
+
+    The card's edges, then the fresh vertex joined to the rim in card order,
+    go through ``Graph.from_edges``.
+    """
+    L = clique_complex(card)
+    if L.dimension != n:
+        raise ValueError(f"the card's clique complex has dimension {L.dimension}, not {n}")
+    rim = boundary_of(L)
+    label = "*"
+    while label in card.labels:
+        label += "*"
+    edges = card.edges() + [(label, v) for v in sorted(rim, key=card.index)]
+    return Graph.from_edges(card.labels + (label,), edges)
 
 
 def links_boundary_of(L: SimplicialComplex) -> frozenset[str]:

@@ -60,6 +60,51 @@ def test_asymmetric_adjacency_rejected():
         fr.Graph(("a", "b"), (2, 0))
 
 
+@pytest.mark.parametrize(
+    "adj",
+    [
+        (0, 0b1, 0),  # a lone bit below the diagonal: 1 -> 0
+        (0b10, 0, 0),  # a lone bit above it: 0 -> 1
+        (0b10, 0, 0b1),  # mirrored counts, wrong mirrors: 0 -> 1 above, 2 -> 0 below
+        (0b100, 0b1, 0),  # 0 -> 2 above, 1 -> 0 below
+        (0b10, 0b100, 0b1),  # a directed triangle: 0 -> 1 -> 2 above, 2 -> 0 below
+    ],
+)
+def test_one_way_bits_are_rejected(adj):
+    with pytest.raises(ValueError, match="^adjacency must be symmetric$"):
+        fr.Graph(("a", "b", "c"), adj)
+
+
+@given(graphs(min_n=2), st.data())
+def test_any_one_way_bit_or_wrongly_mirrored_pair_is_rejected(g, data):
+    n = g.vertex_count
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    picked = data.draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=2, unique=True))
+    if len(picked) == 2 and picked[0] == picked[1][::-1]:
+        picked = picked[:1]  # a mirrored pair would toggle one edge and stay symmetric
+    adj = list(g.adj)
+    for i, j in picked:
+        adj[i] ^= 1 << j
+    with pytest.raises(ValueError, match="^adjacency must be symmetric$"):
+        fr.Graph(g.labels, tuple(adj))
+
+
+@pytest.mark.parametrize(
+    "labels,adj,message",
+    [
+        (("a", "a"), (0,), "duplicate vertex label"),  # a row short too
+        (("a", "b"), (0,), "adjacency row count does not match vertex count"),
+        (("a", "b"), (0b100, 0b11), "adjacency bits reference unknown vertices"),  # and a loop
+        (("a", "b"), (0b1, 0b100), "self-loop at vertex 'a'"),  # unknown bits in a later row
+        (("a", "b", "c"), (0b10, 0, 0b100), "self-loop at vertex 'c'"),  # after a one-way bit
+        (("a", "b"), (-1, 0), "adjacency bits reference unknown vertices"),
+    ],
+)
+def test_validation_reports_the_first_fault_in_a_fixed_order(labels, adj, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        fr.Graph(labels, adj)
+
+
 def test_edges_enumerates_each_pair_once():
     g = fr.cycle(4)
     es = list(g.edges())
@@ -196,6 +241,19 @@ def test_full_subgraph_is_functorial(g, data):
     assert direct == staged
 
 
+@given(st.one_of(graphs(), symmetric_graphs()))
+def test_vertex_deleted_is_the_full_subgraph_on_the_other_vertices(g):
+    for v in g.labels:
+        card = fr.vertex_deleted(g, v)
+        oracle = fr.full_subgraph(g, [u for u in g.labels if u != v])
+        assert (card.labels, card.adj) == (oracle.labels, oracle.adj)
+
+
+def test_vertex_deleted_rejects_an_unknown_vertex():
+    with pytest.raises(ValueError, match="unknown vertex 'x'"):
+        fr.vertex_deleted(fr.cycle(4), "x")
+
+
 def test_vertex_deleted_cycle_is_path():
     assert fr.are_isomorphic(fr.vertex_deleted(fr.cycle(5), "2"), fr.path(4))
 
@@ -294,6 +352,42 @@ def test_canonical_form_shape():
 def test_malformed_certificates_are_rejected(cert):
     with pytest.raises(ValueError, match="malformed certificate"):
         fr.graph_from_canonical_form(cert)
+    with pytest.raises(ValueError, match="malformed certificate"):
+        fr.graph6_from_canonical_form(cert)
+
+
+def test_a_set_padding_bit_is_a_malformed_certificate():
+    # the triangle's 3 bits fill the top of the byte; the 5 below are padding
+    assert fr.graph6_from_canonical_form(b"3:" + bytes([0b111 << 5])) == "Bw"  # K3
+    for bit in range(5):
+        cert = b"3:" + bytes([0b111 << 5 | 1 << bit])
+        with pytest.raises(ValueError, match="malformed certificate"):
+            fr.graph6_from_canonical_form(cert)
+
+
+# orders whose n(n-1)/2 triangle bits fill whole bytes of 6 bits (4, 9), of 8 (17),
+# of both (0, 1, 16), or of neither
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 8, 9, 16, 17, 23, 33, 62])
+def test_a_certificates_graph6_is_that_of_its_decoded_graph(n):
+    rng = random.Random(n)
+    for p in (0.0, 0.3, 0.7, 1.0):
+        mask = sum(1 << k for k in range(n * (n - 1) // 2) if rng.random() < p)
+        assert_graph6_is_that_of_the_decoded_graph(graph_on([str(i) for i in range(n)], mask))
+
+
+@given(st.one_of(graphs(max_n=13), symmetric_graphs()))
+def test_a_certificates_graph6_is_that_of_its_decoded_graph_on_random_graphs(g):
+    assert_graph6_is_that_of_the_decoded_graph(g)
+
+
+def assert_graph6_is_that_of_the_decoded_graph(g):
+    cert = fr.canonical_form(g)
+    assert fr.graph6_from_canonical_form(cert) == fr.emit_graph6(fr.graph_from_canonical_form(cert))
+
+
+def test_a_certificate_above_62_vertices_has_no_graph6():
+    with pytest.raises(fr.FormatError, match="at most 62 vertices"):
+        fr.graph6_from_canonical_form(fr.canonical_form(fr.path(63)))
 
 
 # ------------------------------------------------- pruned search vs. oracle

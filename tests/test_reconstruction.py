@@ -13,6 +13,7 @@ from flagrecon import reconstruction
 from oracles import (
     all_decks_oracle,
     barycentric_subdivision,
+    edge_list_reconstruct,
     graphs,
     hub,
     iso_bijection,
@@ -277,6 +278,29 @@ def test_card_boundary_is_the_lost_neighbourhood(g, n):
         card = fr.vertex_deleted(g, v)
         rim = fr.boundary_of(fr.clique_complex(card))
         assert rim == frozenset(g.neighbors(v))
+
+
+# perfbench's small deck_roundtrip corpus, with subdivisions at other seeds, and larger
+# manifolds of dimensions 2 to 4
+ROUNDTRIP_CORPUS = [
+    (fr.cycle(6), 1),
+    (fr.cross_polytope(3), 2),
+    *[(subdivided(fr.cross_polytope(3), 2, seed), 2) for seed in range(4)],
+    (fr.torus_grid(6, 6), 2),
+    (subdivided(fr.torus_grid(4, 5), 3, 0), 2),
+    (fr.join(fr.cycle(5), suffixed(fr.cycle(5), "'")), 3),
+    (fr.cross_polytope(5), 4),
+]
+
+
+@pytest.mark.parametrize("g,n", ROUNDTRIP_CORPUS)
+def test_card_recovery_equals_the_edge_list_build(g, n):
+    for c in fr.deck(g).cards:
+        card = fr.graph_from_canonical_form(c)
+        assert fr.reconstruct_from_card(card, n) == edge_list_reconstruct(card, n)
+        primed = suffixed(card, "'")
+        shuffled = reordered(primed, sorted(primed.labels, reverse=True))  # stored out of order
+        assert fr.reconstruct_from_card(shuffled, n) == edge_list_reconstruct(shuffled, n)
 
 
 def test_reconstruction_attaches_one_fresh_vertex():

@@ -264,8 +264,8 @@ def test_card_recovery_in_dimension_3_builds_the_vertex_links_in_one_pass(monkey
     card = fr.vertex_deleted(g, g.labels[0])
     counts = count_calls(monkeypatch, ["clique_complex", "build_complex", "link", "links"])
     assert fr.are_isomorphic(fr.reconstruct_from_card(card, 3), g)
-    # each vertex link is the clique complex of the vertex's neighbourhood, built alone
-    assert counts == {"clique_complex": 1, "build_complex": 0, "link": 0, "links": 0}
+    # the vertex links of a card of dimension 3 come from one pass over its levels
+    assert counts == {"clique_complex": 1, "build_complex": 0, "link": 0, "links": 1}
 
 
 def test_the_walk_on_a_simplex_computes_one_link(monkeypatch):
