@@ -90,7 +90,7 @@ class SimplicialComplex:
         bitset, by level in storage order (0 for a maximal simplex)."""
         if self.rows is None:
             return None
-        return [[c for _, _, c in level] for level in _cliques(self.labels, self.rows, -1)]
+        return [[c for _, _, c in level] for level in _cliques(self.labels, self.rows)]
 
     @property
     def dimension(self) -> int:
@@ -164,16 +164,16 @@ def build_complex(labels: Iterable[str], faces: Iterable[Iterable[str]]) -> Simp
 # ---------------------------------------------------------------------------
 
 
-def _cliques(labels: Sequence[str], adj: Sequence[int], mask: int) -> Iterator[list]:
-    """Each level of the clique complex ``adj`` induces on bitset ``mask`` (-1 for
-    all) as (clique, position of its last vertex, its common neighbours) triples.
+def _cliques(labels: Sequence[str], adj: Sequence[int]) -> Iterator[list]:
+    """Each level of the clique complex of the graph ``adj`` as (clique, position
+    of its last vertex, its common neighbours) triples.
 
     Level k + 1 extends each k-clique by each common neighbour v above its
     last vertex, so each level comes out in lexicographic order of positions,
     the storage order.  A level that takes the face count past ``MAX_FACES``
     raises before it is built.
     """
-    frontier = [((v,), i, adj[i] & mask) for i, v in enumerate(labels) if mask >> i & 1]
+    frontier = [((v,), i, adj[i]) for i, v in enumerate(labels)]
     faces = len(frontier)
     while frontier:
         yield frontier
@@ -186,15 +186,10 @@ def _cliques(labels: Sequence[str], adj: Sequence[int], mask: int) -> Iterator[l
         ]
 
 
-def clique_levels(labels: Sequence[str], adj: Sequence[int], mask: int) -> Levels:
-    """The levels of the clique complex of the graph ``adj`` induces on bitset ``mask``."""
-    return tuple(tuple([s for s, _, _ in level]) for level in _cliques(labels, adj, mask))
-
-
 def clique_complex(g: Graph) -> SimplicialComplex:
     """The flag complex of ``g``, every clique a simplex, with its rows and neighbourhoods."""
     levels, common = [], []
-    for level in _cliques(g.labels, g.adj, -1):
+    for level in _cliques(g.labels, g.adj):
         levels.append(tuple([s for s, _, _ in level]))
         common.append([c for _, _, c in level])
     L = SimplicialComplex(tuple(levels))

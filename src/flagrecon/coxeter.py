@@ -21,8 +21,8 @@ from functools import cached_property
 from typing import Iterable, Iterator
 
 from .complexes import SimplicialComplex, Simplex, clique_complex, full_subcomplex
-from .graphs import Graph, iter_bits
-from .homology import AbelianGroup, GradedGroups, reduced_cohomology, reduced_homology
+from .graphs import Graph, _dismantled, iter_bits
+from .homology import AbelianGroup, GradedGroups, flag_homology, reduced_homology
 from .homology import universal_coefficients
 from .manifolds import SphereVerdict, is_generalized_homology_sphere
 
@@ -199,26 +199,6 @@ class Condition3Result:
     subsets_checked: int
 
 
-def _dismantled(closed: list[int], w: int) -> int:
-    """Core of the graph induced on bitset ``w``, given rows ``closed[i] = adj[i] | 1 << i``:
-    v goes, top bit first, while a neighbour u has ``closed[v] & w & ~closed[u] == 0``;
-    only a deleted vertex's neighbours can become dominated, so only they are examined again."""
-    todo = w
-    while todo:
-        v = todo.bit_length() - 1
-        todo ^= 1 << v
-        cv = closed[v] & w
-        nbrs = rest = cv ^ 1 << v
-        while rest:
-            u = rest.bit_length() - 1
-            if not cv & ~closed[u]:
-                w ^= 1 << v
-                todo |= nbrs
-                break
-            rest ^= 1 << u
-    return w
-
-
 def _complement_cohomologies(ns: NerveSystem) -> Iterator[tuple[Simplex, GradedGroups]]:
     """Each nonempty spherical T, in (size, storage) order, with the reduced
     cohomology of the full subcomplex on the remaining vertices W.
@@ -227,8 +207,8 @@ def _complement_cohomologies(ns: NerveSystem) -> Iterator[tuple[Simplex, GradedG
     type: a vertex whose closed neighbourhood in W lies in a neighbour's has
     a cone for its link, and deleting it is a strong collapse; T and W are
     bitsets, tested against closed neighbourhood rows built once per sweep.
-    A one-vertex core is contractible and nothing is built; the empty W of
-    T = V still gives Z in degree -1.  Each core's groups are computed once.
+    Each core's groups are computed once, by :func:`flag_homology` on its bitset; a
+    one-vertex core is contractible and skipped, but the empty W of T = V gives Z in degree -1.
     """
     g = ns.graph
     closed = [a | 1 << i for i, a in enumerate(g.adj)]
@@ -238,8 +218,7 @@ def _complement_cohomologies(ns: NerveSystem) -> Iterator[tuple[Simplex, GradedG
     for t in spherical_subsets(ns):
         core = _dismantled(closed, full & ~sum(map(bit.__getitem__, t)))
         if core not in seen:
-            rest = [g.labels[i] for i in iter_bits(core)]
-            seen[core] = reduced_cohomology(full_subcomplex(ns.nerve, rest))
+            seen[core] = universal_coefficients(flag_homology(g.adj, core))
         yield t, seen[core]
 
 

@@ -226,6 +226,26 @@ def components(adj: Sequence[int], mask: int) -> tuple[int, int, int]:
     return mask.bit_count(), e // 2, c
 
 
+def _dismantled(closed: Sequence[int] | Mapping[int, int], w: int) -> int:
+    """Core of the graph induced on bitset ``w``, given ``closed[i] = adj[i] | 1 << i`` for i in
+    ``w``: v goes, top bit first, while a neighbour u has ``closed[v] & w & ~closed[u] == 0``;
+    only a deleted vertex's neighbours can become dominated, so only they are examined again."""
+    todo = w
+    while todo:
+        v = todo.bit_length() - 1
+        todo ^= 1 << v
+        cv = closed[v] & w
+        nbrs = rest = cv ^ 1 << v
+        while rest:
+            u = rest.bit_length() - 1
+            if not cv & ~closed[u]:
+                w ^= 1 << v
+                todo |= nbrs
+                break
+            rest ^= 1 << u
+    return w
+
+
 # ---------------------------------------------------------------------------
 # canonical labelling
 # ---------------------------------------------------------------------------

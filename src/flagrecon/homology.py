@@ -1,13 +1,15 @@
-"""Exact integer simplicial (co)homology: pairing, then one sparse Smith normal form.
+"""Exact integer simplicial (co)homology: an acyclic subcomplex, pairing, then one sparse SNF.
 
-Cells of the augmented chain complex are first paired off along +-1
-incidences with no arithmetic: coreductions (Mrozek-Batko, Discrete Comput.
-Geom. 41, 2009) and free faces (Kaczynski-Mrozek-Slusarek, Comput. Math.
-Appl. 35, 1998).  The boundary of the cells left goes, as sparse rows, to
-one Smith normal form kernel, which gives the rank and all torsion in
-arbitrary-precision integers (fixed-width words would overflow silently
-there); its +-1 pivots are exact Schur complements over Z.  A graph
-(dimension <= 1) needs no matrix.
+A flag complex K first grows a contractible full subcomplex A on bitsets (strong
+collapses, Barmak-Minian, Discrete Comput. Geom. 47, 2012), and H~(K) = H(K, A)
+(Mrozek-Pilarczyk-Zelazna, Comput. Math. Appl. 55, 2008) leaves only the cliques
+outside A as cells.  Cells are paired off along +-1 incidences with no arithmetic:
+coreductions (Mrozek-Batko, Discrete Comput. Geom. 41, 2009) and free faces
+(Kaczynski-Mrozek-Slusarek, Comput. Math. Appl. 35, 1998).  The boundary of the
+cells left goes, as sparse rows, to one Smith normal form kernel, which gives the
+rank and all torsion in arbitrary-precision integers (fixed-width words would
+overflow silently there); its +-1 pivots are exact Schur complements over Z.  A
+graph (dimension <= 1) needs no matrix.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from math import gcd
 from typing import Iterable, Sequence
 
 from .complexes import SimplicialComplex, link, one_skeleton
-from .graphs import components
+from .graphs import _dismantled, components, iter_bits
 
 __all__ = [
     "IntegerMatrix",
@@ -57,31 +59,31 @@ class IntegerMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _cells(L: SimplicialComplex) -> tuple[list[tuple[int, ...]], list[range]]:
+def _cells(L: SimplicialComplex) -> tuple[list[dict[int, int]], list[range]]:
     """The cells of L's augmented chain complex, numbered, with their faces.
 
     Cell 0 is the empty simplex; ``levels[k + 1]`` numbers the k-simplices in
-    storage order.  ``faces[c]`` lists c's faces in ``combinations`` order.
+    storage order.  ``faces[c]`` maps c's face without position i to (-1)^i.
     """
     index: dict[tuple[str, ...], int] = {(): 0}
-    faces: list[tuple[int, ...]] = [()]
+    faces: list[dict[int, int]] = [{}]
     levels = [range(1)]  # the empty cell
     for k, level in enumerate(L.simplices):
-        faces += (tuple(map(index.__getitem__, combinations(s, k))) for s in level)
+        signs = [(-1) ** i for i in range(k, -1, -1)]  # combinations drop the last vertex first
+        faces += (dict(zip(map(index.__getitem__, combinations(s, k)), signs)) for s in level)
         levels.append(range(levels[-1].stop, len(faces)))
         index.update(zip(level, levels[-1]))
     return faces, levels
 
 
-def _rows(faces: list[tuple[int, ...]], cols: Sequence[int], rows: Sequence[int]) -> list[dict]:
-    """The boundary from cells ``cols`` to cells ``rows``, as sparse rows ``{column: +-1}``;
-    the face without vertex i is ``faces[c][-1 - i]``, of sign (-1)^i."""
+def _rows(faces: list[dict[int, int]], cols: Sequence[int], rows: Sequence[int]) -> list[dict]:
+    """The boundary from cells ``cols`` to cells ``rows``, as sparse rows ``{column: +-1}``."""
     at = {b: i for i, b in enumerate(rows)}
     out: list[dict[int, int]] = [{} for _ in at]
     for j, c in enumerate(cols):
-        for i, b in enumerate(reversed(faces[c])):
+        for b, sign in faces[c].items():
             if b in at:
-                out[at[b]][j] = -1 if i % 2 else 1
+                out[at[b]][j] = sign
     return out
 
 
@@ -100,13 +102,13 @@ def boundary_matrix(L: SimplicialComplex, k: int, reduced: bool = False) -> Inte
     return IntegerMatrix(len(rows), len(cols), entries)
 
 
-def _pair_off(faces: list[tuple[int, ...]]) -> bytearray:
+def _pair_off(faces: list[dict[int, int]]) -> bytearray:
     """Pair off cells along +-1 incidences; return which cells are left.
 
-    A cell with one face left pairs with it (a coreduction, breadth first
-    from the empty cell); when none is, a cell with one coface left pairs
-    with that (a free face).  Each pair splits off an acyclic Z -> Z, so the
-    cells left, under the restricted boundary, have the same homology.
+    A cell with one face left pairs with it (a coreduction, breadth first from the
+    cells with one face); when none is, a cell with one coface left pairs with that
+    (a free face).  Each pair splits off an acyclic Z -> Z, so the cells left, under
+    the restricted boundary, have the same homology.
     """
     cofaces: list[list[int]] = [[] for _ in faces]
     for c, fs in enumerate(faces):
@@ -114,7 +116,8 @@ def _pair_off(faces: list[tuple[int, ...]]) -> bytearray:
             cofaces[b].append(c)
     nf, ncf = list(map(len, faces)), list(map(len, cofaces))
     alive = bytearray([1]) * len(faces)
-    coreduce, free = deque(cofaces[0]), [b for b, n in enumerate(ncf) if n == 1]
+    coreduce = deque(c for c, n in enumerate(nf) if n == 1)
+    free = [b for b, n in enumerate(ncf) if n == 1]
     while coreduce or free:
         if coreduce:
             x, partners, left = coreduce.popleft(), faces, nf
@@ -130,7 +133,7 @@ def _pair_off(faces: list[tuple[int, ...]]) -> bytearray:
             nf[c] -= 1
             if nf[c] == 1:
                 coreduce.append(c)
-        for c in faces[x] + faces[y]:
+        for c in [*faces[x], *faces[y]]:
             ncf[c] -= 1
             if ncf[c] == 1:
                 free.append(c)
@@ -303,27 +306,71 @@ def graph_homology(v: int, e: int, c: int) -> GradedGroups:
     return GradedGroups({0: AbelianGroup(c - 1), 1: AbelianGroup(e - v + c)})
 
 
-def reduced_homology(L: SimplicialComplex) -> GradedGroups:
-    """Reduced integral homology, computed in every degree -1 .. dim(L).
-
-    The augmented chain complex is used, so the empty complex reports Z in
-    degree -1.  Up to dimension 1 :func:`graph_homology` reads the groups off
-    a bitset component count.  Above it the cells are paired off first, which keeps
-    every group over Z, and only the cells left reach the sparse Smith normal
-    form.  No call is cached: each analysis keeps its own reuse.
-    """
-    dim = L.dimension
-    if dim <= 1:
-        return graph_homology(*components(L.rows or one_skeleton(L).adj, (1 << L.vertex_count) - 1))
-    faces, levels = _cells(L)
+def _groups(faces: list[dict[int, int]], levels: list[range]) -> GradedGroups:
+    """Homology of the cells ``levels[k + 1]`` in degree k under the boundary ``faces``:
+    pairing, then one Smith normal form per boundary between the cells left."""
     alive = _pair_off(faces)
     left = [[c for c in level if alive[c]] for level in levels]  # left[k + 1]: degree k
-    rank, torsion = [0] * (dim + 3), [()] * (dim + 3)  # of the boundary out of left[i]
-    for i in range(1, dim + 2):
+    top = len(left)
+    rank, torsion = [0] * (top + 1), [()] * (top + 1)  # of the boundary out of left[i]
+    for i in range(1, top):
         if left[i - 1] and left[i]:
             rank[i], torsion[i] = _smith(_rows(faces, left[i], left[i - 1]), len(left[i]))
     free = [len(cells) - r - s for cells, r, s in zip(left, rank, rank[1:])]
-    return GradedGroups({i - 1: AbelianGroup(free[i], torsion[i + 1]) for i in range(dim + 2)})
+    return GradedGroups({i - 1: AbelianGroup(free[i], torsion[i + 1]) for i in range(top)})
+
+
+def flag_homology(rows: Sequence[int], mask: int) -> GradedGroups:
+    """Reduced integral homology of the flag complex K the graph ``rows`` induces on bitset
+    ``mask``; without a triangle (the empty mask too) :func:`graph_homology` counts give it.
+
+    A contractible full subcomplex A grows from the lowest vertex: w joins when its
+    link in A dismantles to one vertex, and only the neighbours of a vertex that joined
+    are tested again.  The cells of H(K, A) = H~(K) are the cliques meeting R = K - A,
+    each r in R with the cliques of its neighbours in A or in R above r; a face inside
+    A is dropped, and the others keep the sign of the dropped vertex's position.
+    """
+    if not any(rows[i] & rows[j] & mask for i in iter_bits(mask) for j in iter_bits(rows[i] & mask)):
+        return graph_homology(*components(rows, mask))
+    closed = {i: rows[i] | 1 << i for i in iter_bits(mask)}
+    a = mask & -mask
+    todo = rows[a.bit_length() - 1] & mask
+    while todo:
+        w = todo & -todo
+        todo ^= w
+        row = rows[w.bit_length() - 1]
+        if _dismantled(closed, row & a).bit_count() == 1:
+            a |= w
+            todo |= row & mask & ~a
+    r = mask & ~a
+    index: dict[int, int] = {}  # cell numbers, by clique bitset
+    faces: list[dict[int, int]] = []
+    levels = [range(0)]  # no cell in degree -1: the empty simplex lies in A
+    frontier = [(1 << v, rows[v] & (a | r >> v + 1 << v + 1)) for v in iter_bits(r)]
+    while frontier:
+        for s, _ in frontier:
+            index[s] = len(faces)
+            faces.append({index[s ^ 1 << v]: -1 if p % 2 else 1
+                          for p, v in enumerate(iter_bits(s)) if s & r & ~(1 << v)})
+        levels.append(range(levels[-1].stop, len(faces)))
+        frontier = [(s | 1 << v, c & rows[v] >> v + 1 << v + 1) for s, c in frontier for v in iter_bits(c)]
+    return _groups(faces, levels)
+
+
+def reduced_homology(L: SimplicialComplex) -> GradedGroups:
+    """Reduced integral homology, computed in every degree -1 .. dim(L).
+
+    The empty complex reports Z in degree -1.  A flag complex made here goes to
+    :func:`flag_homology`; one given by its faces has its groups read off counts
+    up to dimension 1, and above it every cell of its augmented chain complex is
+    paired off.  No call is cached: each analysis keeps its own reuse.
+    """
+    full = (1 << L.vertex_count) - 1
+    if L.rows is not None:
+        return flag_homology(L.rows, full)
+    if L.dimension <= 1:
+        return graph_homology(*components(one_skeleton(L).adj, full))
+    return _groups(*_cells(L))
 
 
 def universal_coefficients(h: GradedGroups) -> GradedGroups:

@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .complexes import Simplex, SimplicialComplex, clique_levels, links
+from .complexes import Simplex, SimplicialComplex, links
 from .graphs import components
-from .homology import INTEGERS, GradedGroups, graph_homology, reduced_homology
+from .homology import INTEGERS, GradedGroups, flag_homology, graph_homology, reduced_homology
 
 __all__ = [
     "sphere_homology",
@@ -68,15 +68,13 @@ def is_pure(L: SimplicialComplex) -> bool:
 def _link_groups(L: SimplicialComplex, lk: SimplicialComplex | int, m: int) -> GradedGroups | None:
     """None when a link of dimension <= m has the homology of the m-sphere, else
     its reduced homology.  ``lk`` is the link or, with ``rows``, N(sigma): up to
-    m = 1 counts give the groups, and above its flag complex is built."""
-    if isinstance(lk, int):
-        if m <= 1:
-            v, e, c = components(L.rows, lk) if m == 1 else (lk.bit_count(), 0, lk.bit_count())
-            if (e, c) == ((0, 0), (0, 2), (v, 1))[m + 1]:  # the (-1)-, 0- and 1-sphere
-                return None
-            return graph_homology(v, e, c)
-        lk = SimplicialComplex(clique_levels(L.labels, L.rows, lk))
-    h = reduced_homology(lk)
+    m = 1 counts give the groups, and above it :func:`flag_homology`, with no link built."""
+    if isinstance(lk, int) and m <= 1:
+        v, e, c = components(L.rows, lk) if m == 1 else (lk.bit_count(), 0, lk.bit_count())
+        if (e, c) == ((0, 0), (0, 2), (v, 1))[m + 1]:  # the (-1)-, 0- and 1-sphere
+            return None
+        return graph_homology(v, e, c)
+    h = flag_homology(L.rows, lk) if isinstance(lk, int) else reduced_homology(lk)
     return None if h == sphere_homology(m) else h
 
 
@@ -180,15 +178,16 @@ def boundary_of(L: SimplicialComplex) -> frozenset[str]:
     Interior vertices of a homology n-manifold (n = ``L.dimension``, and L
     must be pure) have vertex links with the homology of the (n-1)-sphere;
     boundary vertices have homologically trivial links.  Anything else raises
-    :class:`BoundaryPatternError`.  Purity is read as the walk reads it, the
-    vertex links with ``rows`` up to n = 2 from counts, else from one ``links`` pass.
+    :class:`BoundaryPatternError`.  Purity and the vertex links are read as
+    the walk reads them: with ``rows`` each link from N(v), without them from
+    one ``links`` pass.
     """
     n = L.dimension
     if n == -1:
         raise ValueError("the empty complex has no boundary")
     if not is_pure(L):
         raise ValueError(f"complex is not pure of dimension {n}")
-    hs = [_link_groups(L, lk, n - 1) for lk in (links(L, 0) if L.rows is None or n > 2 else L.rows)]
+    hs = [_link_groups(L, lk, n - 1) for lk in (links(L, 0) if L.rows is None else L.rows)]
     for v, h in zip(L.labels, hs):
         if h is not None and not h.is_trivial_everywhere:
             raise BoundaryPatternError(v, h.shifted(1), n)

@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flagrecon as fr
-from flagrecon.coxeter import _dismantled
-from flagrecon.graphs import iter_bits
+from flagrecon.graphs import _dismantled, iter_bits
 from oracles import (
     adjacency_dismantled,
     brute_condition3_failures,

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import flagrecon as fr
 from flagrecon import homology
+from flagrecon.graphs import _dismantled, iter_bits
 from oracles import (
     barycentric_subdivision,
     corpus_complexes,
@@ -27,6 +28,7 @@ from oracles import (
     rational_rank,
     reduced_cohomology_via_cochains,
     smith_transforms,
+    suffixed,
     suspension,
     transpose,
     unpaired_reduced_homology,
@@ -352,6 +354,82 @@ def test_a_sphere_pairs_off_whole_and_reaches_no_matrix(monkeypatch):
     assert report["certificate"]["verdict"] == "theorem_2"
     assert groups_of(fr.reduced_homology(fr.clique_complex(fr.cross_polytope(4)))) == {3: "Z"}
     assert not any(received)
+
+
+# -------------------------------- flag complexes, relative to a grown acyclic subcomplex
+
+
+def rebuilt(g, mask):
+    """The flag complex ``g`` induces on bitset ``mask``, rebuilt from its faces, with no rows."""
+    labels = [g.labels[i] for i in iter_bits(mask)]
+    faces = fr.clique_complex(fr.full_subgraph(g, labels)).simplices
+    return fr.build_complex(labels, [s for level in faces for s in level])
+
+
+def wedge(g, h, v):
+    """``g`` and a copy of ``h`` glued at the vertex ``v`` of each."""
+    h = h.relabel({u: u if u == v else u + "'" for u in h.labels})
+    return fr.Graph.from_edges(g.labels + tuple(u for u in h.labels if u != v), g.edges() + h.edges())
+
+
+@settings(max_examples=150)
+@given(
+    st.one_of(
+        graphs(max_n=9),
+        st.tuples(graphs(max_n=5), graphs(max_n=5)).map(
+            lambda p: fr.disjoint_union(p[0], suffixed(p[1], "'"))
+        ),
+    ),
+    st.data(),
+)
+def test_flag_homology_of_any_mask_matches_the_unpaired_oracle(g, data):
+    mask = data.draw(st.integers(0, (1 << g.vertex_count) - 1) | st.just(0))
+    L = rebuilt(g, mask)
+    assert L.rows is None
+    assert homology.flag_homology(g.adj, mask) == unpaired_reduced_homology(L)
+
+
+@pytest.mark.parametrize(
+    "g,expected",
+    [
+        (barycentric_subdivision(projective_plane()), {1: "Z/2"}),
+        # contractible with no free face: growth may stall, and pairing must finish the job
+        (barycentric_subdivision(dunce_hat()), {}),
+        (wedge(fr.cross_polytope(3), fr.cross_polytope(3), "0"), {2: "Z^2"}),
+        (fr.join(hub(), fr.torus_grid(4, 4)), {}),  # a cone
+        (fr.torus_grid(5, 5), {1: "Z^2", 2: "Z"}),
+        (fr.cross_polytope(4), {3: "Z"}),
+        (fr.Graph((), ()), {-1: "Z"}),
+    ],
+    ids=["sd-RP2", "sd-dunce-hat", "octahedra-wedge", "cone", "torus", "cross4", "empty"],
+)
+def test_flag_homology_known_complexes(g, expected):
+    full = (1 << g.vertex_count) - 1
+    h = homology.flag_homology(g.adj, full)
+    assert groups_of(h) == expected
+    assert h == fr.reduced_homology(fr.clique_complex(g)) == unpaired_reduced_homology(rebuilt(g, full))
+
+
+def test_an_empty_mask_is_the_minus_one_sphere_in_any_graph():
+    assert groups_of(homology.flag_homology(fr.torus_grid(4, 4).adj, 0)) == {-1: "Z"}
+
+
+def test_a_triangle_free_mask_is_read_off_counts(monkeypatch):
+    monkeypatch.setattr(homology, "_pair_off", None)  # counts must answer without any cell
+    g = fr.disjoint_union(fr.cycle(6), suffixed(fr.path(3), "'"))
+    assert groups_of(homology.flag_homology(g.adj, (1 << g.vertex_count) - 1)) == {0: "Z", 1: "Z"}
+    # the triangles of an octahedron are left out by the mask: its equator, a 4-cycle
+    equator = sum(1 << i for i in range(4))
+    assert groups_of(homology.flag_homology(fr.cross_polytope(3).adj, equator)) == {1: "Z"}
+
+
+def test_growth_tests_each_vertex_at_most_once_per_neighbour_that_joins(monkeypatch):
+    g = fr.torus_grid(20, 20)
+    calls = []
+    monkeypatch.setattr(homology, "_dismantled", lambda *a: calls.append(a) or _dismantled(*a))
+    assert groups_of(homology.flag_homology(g.adj, (1 << g.vertex_count) - 1)) == {1: "Z^2", 2: "Z"}
+    assert calls
+    assert len(calls) <= sum(a.bit_count() for a in g.adj) + g.vertex_count
 
 
 # ------------------------------------------- graphs: homology without a matrix

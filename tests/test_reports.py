@@ -174,19 +174,20 @@ def count_calls(monkeypatch, names):
 
 
 def record_homologies(monkeypatch):
-    """The complexes handed to reduced_homology, from every module that binds it, in call order."""
+    """The flag complexes handed to flag_homology, as (rows, mask) pairs, from every module
+    that binds it, in call order; every flag complex's homology goes through it."""
     received = []
 
     def recording(fn):
-        def wrapper(L):
-            received.append(L)
-            return fn(L)
+        def wrapper(rows, mask):
+            received.append((tuple(rows), mask))
+            return fn(rows, mask)
 
         return wrapper
 
     for mod_name, mod in list(sys.modules.items()):
-        if mod_name.split(".")[0] == "flagrecon" and "reduced_homology" in vars(mod):
-            monkeypatch.setattr(mod, "reduced_homology", recording(mod.reduced_homology))
+        if mod_name.split(".")[0] == "flagrecon" and "flag_homology" in vars(mod):
+            monkeypatch.setattr(mod, "flag_homology", recording(mod.flag_homology))
     return received
 
 
@@ -244,10 +245,11 @@ def test_a_non_pure_report_names_the_facet_below_the_dimension():
     ],
 )
 def test_the_sweep_builds_only_cores_that_are_not_a_point(monkeypatch, g, subsets, built):
+    # each core goes to the kernel as a bitset, with no subcomplex built
     ns = fr.NerveSystem.from_graph(g)
-    counts = count_calls(monkeypatch, ["full_subcomplex"])
+    counts = count_calls(monkeypatch, ["flag_homology", "full_subcomplex"])
     assert fr.condition3_vanishing(ns).subsets_checked == subsets
-    assert counts == {"full_subcomplex": built}
+    assert counts == {"flag_homology": built, "full_subcomplex": 0}
 
 
 def test_card_recovery_builds_one_complex(monkeypatch):
@@ -259,22 +261,22 @@ def test_card_recovery_builds_one_complex(monkeypatch):
     assert counts == {"clique_complex": 1, "build_complex": 0, "link": 0, "links": 0}
 
 
-def test_card_recovery_in_dimension_3_builds_the_vertex_links_in_one_pass(monkeypatch):
+def test_card_recovery_in_dimension_3_reads_the_vertex_links_off_the_rows(monkeypatch):
     g = fr.cross_polytope(4)
     card = fr.vertex_deleted(g, g.labels[0])
     counts = count_calls(monkeypatch, ["clique_complex", "build_complex", "link", "links"])
     assert fr.are_isomorphic(fr.reconstruct_from_card(card, 3), g)
-    # the vertex links of a card of dimension 3 come from one pass over its levels
-    assert counts == {"clique_complex": 1, "build_complex": 0, "link": 0, "links": 1}
+    # the vertex links of a card of dimension 3 go to the kernel as N(v), with no complex built
+    assert counts == {"clique_complex": 1, "build_complex": 0, "link": 0, "links": 0}
 
 
 def test_the_walk_on_a_simplex_computes_one_link(monkeypatch):
     # complete(12)'s nerve is one 11-simplex: the link of vertex 0, a 10-simplex, is the
     # witness, and no other link is built before it
     L = fr.clique_complex(fr.complete(12))
-    counts = count_calls(monkeypatch, ["reduced_homology", "links"])
+    counts = count_calls(monkeypatch, ["flag_homology", "links"])
     assert fr.is_homology_manifold(L).witness.simplex == ("0",)
-    assert counts == {"reduced_homology": 1, "links": 0}
+    assert counts == {"flag_homology": 1, "links": 0}
 
 
 @pytest.mark.parametrize(
@@ -316,7 +318,7 @@ def test_group_cohomology_reads_the_nerves_kept_homology(monkeypatch, g):
     received = record_homologies(monkeypatch)
     for i in range(ns.nerve.dimension + 3):
         fr.coxeter_cohomology_if_fg(ns, i)
-    assert all(L is not ns.nerve for L in received)
+    assert all(mask != (1 << g.vertex_count) - 1 for _, mask in received)
 
 
 @pytest.mark.parametrize(
@@ -339,10 +341,10 @@ def test_group_cohomology_sweeps_again_only_where_condition3_leaves_it_open(
 
 
 def test_nothing_carries_over_to_the_next_report(monkeypatch):
-    # _cells runs inside reduced_homology, once for each homology computed with cells
+    # flag_homology runs once for each flag complex whose homology is computed
     g = fr.torus_grid(5, 5)
-    counts = count_calls(monkeypatch, ["_cells"])
+    counts = count_calls(monkeypatch, ["flag_homology"])
     first = analysis_report(g, source_format="graph6")
-    computed = counts["_cells"]
+    computed = counts["flag_homology"]
     assert computed and analysis_report(g, source_format="graph6") == first
-    assert counts["_cells"] == 2 * computed
+    assert counts["flag_homology"] == 2 * computed
