@@ -262,6 +262,9 @@ def _dismantled(closed: Sequence[int] | Mapping[int, int], w: int) -> int:
 # automorphisms fixing P pointwise map it onto an explored sibling; refinement
 # is invariant under relabelling, so such an automorphism maps the explored
 # subtree onto the skipped one, certificates included, and the minimum stays.
+# Backjumping (McKay, Congr. Numer. 30, 1981): that automorphism fixes the
+# prefix the two leaves share and maps the best leaf's finished branch below
+# it onto the new leaf's, so the search resumes at their deepest common ancestor.
 SEARCH_NODE_BUDGET = 10_000  # search nodes one labelling may visit
 
 
@@ -386,17 +389,23 @@ def _orbit_roots(n: int, perms: Iterable[Sequence[int]]) -> list[int]:
 
 
 def _search(g: Graph) -> tuple[bytes, list[list[int]]]:
-    """Least certificate body of ``g``, and the automorphisms recorded on the way."""
+    """Least certificate body of ``g``, and the automorphisms recorded on the way.
+
+    A leaf equal to the best one records its automorphism and ends the search
+    below the two leaves' deepest common ancestor, which goes on to its next child.
+    """
     n = g.vertex_count
     adj = g.adj
     nbrs = [list(iter_bits(row)) for row in adj]
     best: bytes | None = None
     best_order: list[int] = []
+    best_prefix: tuple[int, ...] = ()
     autos: list[list[int]] = []
     nodes = 0
 
-    def visit(colors: list[int], prefix: tuple[int, ...]) -> None:
-        nonlocal best, best_order, nodes
+    def visit(colors: list[int], prefix: tuple[int, ...]) -> int:
+        """Search below ``prefix``; return the depth to resume at, below its own on a backjump."""
+        nonlocal best, best_order, best_prefix, nodes
         nodes += 1
         if nodes > SEARCH_NODE_BUDGET:
             raise ValueError(f"canonical labelling of a {n}-vertex graph "
@@ -406,10 +415,11 @@ def _search(g: Graph) -> tuple[bytes, list[list[int]]]:
             order = [v for cell in cells for v in cell]
             cert = _certificate(nbrs, order)
             if best is None or cert < best:
-                best, best_order = cert, order
+                best, best_order, best_prefix = cert, order, prefix
             elif cert == best:
                 autos.append([w for _, w in sorted(zip(best_order, order))])
-            return
+                return next(i for i, (u, w) in enumerate(zip(prefix, best_prefix)) if u != w)
+            return len(prefix)
         target = next(cell for cell in cells if len(cell) > 1)
         explored, known, root = [], 0, range(n)
         for v in target:
@@ -421,7 +431,9 @@ def _search(g: Graph) -> tuple[bytes, list[list[int]]]:
             explored.append(v)
             branched = [c * 2 for c in colors]
             branched[v] -= 1
-            visit(branched, prefix + (v,))
+            if (depth := visit(branched, prefix + (v,))) < len(prefix):
+                return depth
+        return len(prefix)
 
     if n:
         visit([0] * n, ())
@@ -441,7 +453,8 @@ def canonical_form(g: Graph) -> bytes:
 def vertex_orbits(g: Graph) -> list[tuple[str, ...]]:
     """Vertex classes, by first vertex, under the automorphisms the labelling search finds.
 
-    Each class lies in one orbit of Aut(g), so its cards are isomorphic; it may be finer.
+    Each class lies in one orbit of Aut(g), so its cards are isomorphic.  It may be finer:
+    the search backjumps after each automorphism, so it records only some of them.
     """
     roots = _orbit_roots(g.vertex_count, _search(g)[1])
     return [tuple(v for v, x in zip(g.labels, roots) if x == r) for r in sorted(set(roots))]

@@ -140,6 +140,13 @@ class TestDeck:
         card = fr.graph_from_canonical_form(fr.canonical_form(fr.path(62)))
         assert (code, out) == (0, f"{fr.emit_graph6(card)} 63\n")
 
+    def test_a_62_vertex_perfect_matching_is_one_card_class(self, tmp_path, capsys):
+        path = tmp_path / "matching.txt"
+        path.write_text("".join(f"{i} {i + 1}\n" for i in range(0, 62, 2)))
+        assert main(["deck", "--format", "edges", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 and lines[0].endswith(" 62")
+
 
 def pinned_decks():
     """(graph6 input, deck output) pairs from ``golden/decks.txt``: the

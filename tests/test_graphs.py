@@ -539,12 +539,22 @@ def search_nodes(monkeypatch):
 
 def test_torus_grid_8x8_labelling_is_pruned(search_nodes):
     fr.canonical_form(fr.torus_grid(8, 8))
-    assert search_nodes[0] <= 100
+    assert search_nodes[0] <= 12
 
 
 def test_cross_polytope_5_deck_is_pruned(search_nodes):
     fr.deck(fr.cross_polytope(5))
-    assert search_nodes[0] <= 200
+    assert search_nodes[0] <= 41
+
+
+def test_perfect_matching_labelling_backjumps(search_nodes):
+    """Each leaf after the first is an automorphism, and the search jumps
+    back to its common ancestor with the best leaf: (n/2)^2 nodes, not n^2.5."""
+    for n in range(8, 63, 6):
+        search_nodes[0] = 0
+        edges = [(str(i), str(i + 1)) for i in range(0, n, 2)]
+        fr.canonical_form(fr.Graph.from_edges(map(str, range(n)), edges))
+        assert search_nodes[0] <= (n // 2) ** 2, n
 
 
 def test_node_budget_fails_loudly(monkeypatch):

@@ -76,6 +76,24 @@ def test_deck_of_empty_graph_rejected():
         fr.deck(fr.Graph((), ()))
 
 
+C5 = fr.cycle(5)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [fr.torus_grid(6, 6), fr.torus_grid(6, 7), fr.torus_grid(7, 7), fr.cross_polytope(5),
+     fr.icosahedron(), fr.join(C5, suffixed(C5, "'"))],
+    ids=["torus66", "torus67", "torus77", "cross_polytope5", "icosahedron", "C5*C5"],
+)
+def test_deck_of_a_vertex_transitive_graph_labels_one_card(g, monkeypatch):
+    """The automorphisms a backjumping search records still join every vertex into one orbit."""
+    labelled = []
+    label = fr.canonical_form
+    monkeypatch.setattr(reconstruction, "canonical_form", lambda h: labelled.append(h) or label(h))
+    assert fr.deck(g).size == g.vertex_count
+    assert len(labelled) == 1
+
+
 @given(graphs(min_n=2, max_n=7), st.data())
 def test_deck_key_is_an_isomorphism_invariant(g, data):
     h = reordered(g, data.draw(st.permutations(g.labels)))
