@@ -2,19 +2,19 @@
 
 A complex is its levels: simplices are stored as label tuples sorted by
 the complex's own vertex order, grouped by dimension, and ``labels`` reads
-level 0.  The complex with no vertices is legal and has dimension -1.  A
-flag complex made here is marked so, and reads its links off its rows.
+level 0.  The complex with no vertices is legal and has dimension -1.  Flag complexes,
+with their rows and common neighbourhoods, come only from :func:`clique_complex`.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
+from typing import ClassVar, Iterable, Iterator, Sequence
 
-from .graphs import Graph, iter_bits
+from .graphs import Graph, full_subgraph, iter_bits
 
 __all__ = [
     "MAX_FACES",
@@ -53,12 +53,16 @@ class SimplicialComplex:
     the cheap invariants.  :func:`build_complex` closes and sorts outside
     face lists; :func:`clique_complex`, :func:`links` and
     :func:`full_subcomplex` make closed, storage-ordered levels directly.
-    ``_flag`` marks the flag complexes this module makes; it is no constructor
-    argument, takes no part in equality, hashing or repr, and gates ``rows``.
+    ``rows`` and ``neighbourhoods`` are None except on a complex that
+    :func:`clique_complex` made, which fills them in; they are no fields, so
+    take no part in construction, equality, hashing or repr.
     """
 
     simplices: Levels
-    _flag: bool = field(default=False, init=False, compare=False, repr=False)
+    # the bitset of the neighbours of labels[i] at i, and each simplex's common
+    # neighbours N(sigma) as a bitset, by level in storage order (0 for a maximal simplex)
+    rows: ClassVar[tuple[int, ...] | None] = None
+    neighbourhoods: ClassVar[list[list[int]] | None] = None
 
     def __post_init__(self) -> None:
         for k, level in enumerate(self.simplices):
@@ -78,19 +82,6 @@ class SimplicialComplex:
     @cached_property
     def _face_set(self) -> frozenset[Simplex]:
         return frozenset(s for level in self.simplices for s in level)
-
-    @cached_property
-    def rows(self) -> tuple[int, ...] | None:
-        """On a flag complex made here, the bitset of the neighbours of ``labels[i]`` at i."""
-        return one_skeleton(self).adj if self._flag else None
-
-    @cached_property
-    def neighbourhoods(self) -> list[list[int]] | None:
-        """On a flag complex made here, each simplex's common neighbours N(sigma) as a
-        bitset, by level in storage order (0 for a maximal simplex)."""
-        if self.rows is None:
-            return None
-        return [[c for _, _, c in level] for level in _cliques(self.labels, self.rows)]
 
     @property
     def dimension(self) -> int:
@@ -193,7 +184,7 @@ def clique_complex(g: Graph) -> SimplicialComplex:
         levels.append(tuple([s for s, _, _ in level]))
         common.append([c for _, _, c in level])
     L = SimplicialComplex(tuple(levels))
-    L.__dict__.update(_flag=True, rows=g.adj, neighbourhoods=common)  # rows, N(sigma) known here
+    L.__dict__.update(rows=g.adj, neighbourhoods=common)  # rows, N(sigma) known here
     return L
 
 
@@ -205,29 +196,24 @@ def clique_complex(g: Graph) -> SimplicialComplex:
 def full_subcomplex(L: SimplicialComplex, t: Iterable[str]) -> SimplicialComplex:
     """The full subcomplex on vertex subset ``t``: all simplices inside ``t``.
 
-    Level k keeps the k-simplices of L that lie inside ``t``, in L's order.
-    A full subcomplex of a flag complex is flag, and is marked so.
+    On a flag complex, the clique complex of the full subgraph on ``t``; on a face
+    list, level k keeps the k-simplices of L inside ``t``.  Both keep L's order.
     """
     wanted = set(t)
     for v in wanted:
         if v not in L._pos:
             raise ValueError(f"unknown vertex {v!r}")
-    levels = []
-    for level in L.simplices:
-        kept = tuple(s for s in level if wanted.issuperset(s))
-        if not kept:
-            break
-        levels.append(kept)
-    sub = SimplicialComplex(tuple(levels))
-    object.__setattr__(sub, "_flag", L._flag)
-    return sub
+    if L.rows is not None:
+        return clique_complex(full_subgraph(Graph(L.labels, L.rows), wanted))
+    kept = (tuple(s for s in level if wanted.issuperset(s)) for level in L.simplices)
+    return SimplicialComplex(tuple(itertools.takewhile(len, kept)))
 
 
 def link(L: SimplicialComplex, simplex: Iterable[str]) -> SimplicialComplex:
     """Link of a simplex: faces disjoint from it whose union with it is a face.
 
-    The full subcomplex on its common neighbours, or without ``rows`` its
-    entry of :func:`links`.  A facet's is the empty complex.
+    On a flag complex, the full subcomplex on its common neighbours; on a face list,
+    the faces containing it less its vertices, in L's order.  A facet's is empty.
     """
     s = L.simplex(simplex)
     if s not in L._face_set:
@@ -235,8 +221,10 @@ def link(L: SimplicialComplex, simplex: Iterable[str]) -> SimplicialComplex:
     if L.rows is not None:
         common = reduce(int.__and__, (L.rows[L._pos[v]] for v in s))
         return full_subcomplex(L, [L.labels[i] for i in iter_bits(common)])
-    k = len(s) - 1
-    return links(L, k)[L.faces(k).index(s)]
+    inside = set(s)
+    kept = (tuple(tuple(v for v in f if v not in inside) for f in level if inside.issubset(f))
+            for level in L.simplices[len(s) :])  # two faces containing s first differ off s
+    return SimplicialComplex(tuple(itertools.takewhile(len, kept)))
 
 
 def _picker(positions: Sequence[int]) -> itemgetter:

@@ -179,7 +179,7 @@ def test_full_subcomplex_of_flag_is_flag(g, data):
     assert fr.is_flag(sub)
     flag = fr.clique_complex(fr.full_subgraph(g, t))
     assert sub == flag and sub.rows == flag.rows
-    assert sub.neighbourhoods == flag.neighbourhoods  # computed on sub, filled in on flag
+    assert sub.neighbourhoods == flag.neighbourhoods  # both filled in by clique_complex
 
 
 @given(graphs(min_n=0, max_n=8))

@@ -2,6 +2,7 @@
 cohomology routes."""
 
 import importlib
+import itertools
 import pkgutil
 
 import pytest
@@ -337,6 +338,19 @@ def test_the_torus_leaves_cells_to_eliminate():
     faces, levels = homology._cells(fr.clique_complex(fr.torus_grid(5, 5)))
     alive = homology._pair_off(faces)
     assert [sum(alive[c] for c in level) for level in levels] == [0, 0, 19, 18]
+
+
+def test_a_face_list_pairs_off_its_own_cells(monkeypatch):
+    # the boundary of the 8-simplex, S^7, has 510 faces: with the empty cell, 511 reach the
+    # pairing, where a route through the barycentric subdivision would hand over millions
+    sizes = []
+    pair_off = homology._pair_off
+    monkeypatch.setattr(homology, "_pair_off", lambda faces: sizes.append(len(faces)) or pair_off(faces))
+    labels = [str(i) for i in range(9)]
+    L = fr.build_complex(labels, itertools.combinations(labels, 8))
+    assert sum(fr.f_vector(L)) == 510 and L.rows is None
+    assert groups_of(fr.reduced_homology(L)) == {7: "Z"}
+    assert sizes == [511]
 
 
 def test_a_sphere_pairs_off_whole_and_reaches_no_matrix(monkeypatch):

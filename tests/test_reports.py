@@ -194,7 +194,7 @@ def record_homologies(monkeypatch):
 def test_one_report_computes_each_fact_once(monkeypatch):
     expected = {
         "clique_complex": 1,  # the nerve, level by level from the graph's bitsets
-        "build_complex": 0,  # links and subcomplexes filter the nerve's levels
+        "build_complex": 0,  # no complex here is given by its faces
         "is_homology_manifold": 1,
         "is_generalized_homology_sphere": 1,
         "is_virtual_pd": 1,
@@ -205,6 +205,17 @@ def test_one_report_computes_each_fact_once(monkeypatch):
     counts = count_calls(monkeypatch, expected)
     analysis_report(fr.torus_grid(5, 5), source_format="graph6")
     assert counts == expected
+
+
+def test_a_theorem_1_core_is_a_clique_complex(monkeypatch):
+    # the cone over the octahedron: its core, the octahedron, is the one full subcomplex
+    # built, and it comes from the core's subgraph, with no graph rebuilt from its edges
+    counts = count_calls(monkeypatch, ["clique_complex", "one_skeleton"])
+    report = analysis_report(fr.complete_multipartite([1, 2, 2, 2]), source_format="graph6")
+    assert (report["certificate"]["verdict"], report["certificate"]["dimension"]) == ("theorem_1", 3)
+    assert report["coxeter"]["virtual_pd"]["core_sphere"]["dimension"] == 2
+    assert counts == {"clique_complex": 2, "one_skeleton": 0}  # the nerve, then the core
+    assert fr.full_subcomplex(projective_plane(), ["1", "2", "3"]).rows is None
 
 
 def test_one_report_decides_irreducibility_once(monkeypatch):
