@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import itemgetter
-from typing import ClassVar, Iterable, Iterator, Sequence
+from typing import ClassVar, Iterable, Sequence
 
 from .graphs import Graph, full_subgraph, iter_bits
 
@@ -155,19 +155,21 @@ def build_complex(labels: Iterable[str], faces: Iterable[Iterable[str]]) -> Simp
 # ---------------------------------------------------------------------------
 
 
-def _cliques(labels: Sequence[str], adj: Sequence[int]) -> Iterator[list]:
-    """Each level of the clique complex of the graph ``adj`` as (clique, position
-    of its last vertex, its common neighbours) triples.
+def clique_complex(g: Graph) -> SimplicialComplex:
+    """The flag complex of ``g``, every clique a simplex, with its rows and neighbourhoods.
 
     Level k + 1 extends each k-clique by each common neighbour v above its
     last vertex, so each level comes out in lexicographic order of positions,
     the storage order.  A level that takes the face count past ``MAX_FACES``
     raises before it is built.
     """
-    frontier = [((v,), i, adj[i]) for i, v in enumerate(labels)]
+    labels, adj = g.labels, g.adj
+    frontier = [((v,), i, adj[i]) for i, v in enumerate(labels)]  # clique, last position, N
     faces = len(frontier)
+    levels, common = [], []
     while frontier:
-        yield frontier
+        levels.append(tuple([s for s, _, _ in frontier]))
+        common.append([c for _, _, c in frontier])
         faces += sum([(c >> i + 1).bit_count() for _, i, c in frontier])
         _check_budget(faces)
         frontier = [
@@ -175,16 +177,8 @@ def _cliques(labels: Sequence[str], adj: Sequence[int]) -> Iterator[list]:
             for s, i, c in frontier
             for v in iter_bits(c >> i + 1 << i + 1)
         ]
-
-
-def clique_complex(g: Graph) -> SimplicialComplex:
-    """The flag complex of ``g``, every clique a simplex, with its rows and neighbourhoods."""
-    levels, common = [], []
-    for level in _cliques(g.labels, g.adj):
-        levels.append(tuple([s for s, _, _ in level]))
-        common.append([c for _, _, c in level])
     L = SimplicialComplex(tuple(levels))
-    L.__dict__.update(rows=g.adj, neighbourhoods=common)  # rows, N(sigma) known here
+    L.__dict__.update(rows=adj, neighbourhoods=common)  # rows, N(sigma) known here
     return L
 
 

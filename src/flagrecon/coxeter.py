@@ -21,7 +21,7 @@ from functools import cached_property
 from typing import Iterable, Iterator
 
 from .complexes import SimplicialComplex, Simplex, clique_complex, full_subcomplex
-from .graphs import Graph, _dismantled, iter_bits
+from .graphs import Graph, _dismantled, components
 from .homology import AbelianGroup, GradedGroups, flag_homology, reduced_homology
 from .homology import universal_coefficients
 from .manifolds import SphereVerdict, is_generalized_homology_sphere
@@ -90,15 +90,12 @@ class NerveSystem:
 
 
 def is_spherical(ns: NerveSystem, t: Iterable[str]) -> bool:
-    """A subset generates a finite standard subgroup exactly when it is a clique."""
-    vs = list(t)
-    for v in vs:
-        ns.graph.index(v)
-    if len(set(vs)) != len(vs):
+    """A subset generates a finite standard subgroup exactly when it is a clique of the graph."""
+    idx = [ns.graph.index(v) for v in t]
+    if len(set(idx)) != len(idx):
         raise ValueError("repeated vertex in subset")
-    if not vs:
-        return True
-    return ns.nerve.has_simplex(vs)
+    mask = sum(1 << i for i in idx)
+    return all(not mask & ~(ns.graph.adj[i] | 1 << i) for i in idx)
 
 
 def spherical_subsets(ns: NerveSystem) -> list[Simplex]:
@@ -115,18 +112,12 @@ def is_finite_group(ns: NerveSystem) -> bool:
 
 
 def is_irreducible(ns: NerveSystem) -> bool:
-    """No nontrivial direct-product splitting: the complement is connected, searched on bitsets."""
+    """No nontrivial direct-product splitting: the complement is connected, by one
+    :func:`components` call on the complement's rows, with no graph built."""
     adj, full = ns.graph.adj, (1 << ns.graph.vertex_count) - 1
     if not full:
         raise ValueError("empty vertex set")
-    seen = frontier = 1
-    while frontier:  # the frontier's complement neighbours: outside its common neighbourhood
-        common = full
-        for i in iter_bits(frontier):
-            common &= adj[i]
-        frontier = full & ~common & ~seen
-        seen |= frontier
-    return seen == full
+    return components([full & ~row & ~(1 << i) for i, row in enumerate(adj)], full)[2] == 1
 
 
 def join_decomposition(ns: NerveSystem) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -242,13 +233,6 @@ def condition3_vanishing(ns: NerveSystem) -> Condition3Result:
 
 class _NotFinitelyGenerated:
     """Marker: the requested group-ring cohomology is not finitely generated."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
 
     def __repr__(self) -> str:
         return "NOT_FINITELY_GENERATED"

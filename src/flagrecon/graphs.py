@@ -179,17 +179,12 @@ def complement(g: Graph) -> Graph:
 
 
 def join(g1: Graph, g2: Graph) -> Graph:
-    """Graph join: disjoint copies of both graphs plus all cross edges."""
-    overlap = set(g1.labels) & set(g2.labels)
-    if overlap:
-        raise ValueError(f"label sets overlap: {sorted(overlap)}")
-    n1 = g1.vertex_count
-    labels = g1.labels + g2.labels
+    """Graph join: the disjoint union of both graphs plus all cross edges."""
+    g, n1 = disjoint_union(g1, g2), g1.vertex_count
     cross1 = ((1 << g2.vertex_count) - 1) << n1
     cross2 = (1 << n1) - 1
-    adj = [row | cross1 for row in g1.adj]
-    adj += [(row << n1) | cross2 for row in g2.adj]
-    return Graph(labels, tuple(adj))
+    adj = [row | (cross1 if i < n1 else cross2) for i, row in enumerate(g.adj)]
+    return Graph(g.labels, tuple(adj))
 
 
 def disjoint_union(g1: Graph, g2: Graph) -> Graph:
@@ -512,10 +507,7 @@ def complete(n: int) -> Graph:
     """The complete graph K_n, n >= 1."""
     if n < 1:
         raise ValueError("complete graphs need at least 1 vertex")
-    labels = _range_labels(n)
-    return Graph.from_edges(
-        labels, [(labels[i], labels[j]) for i in range(n) for j in range(i + 1, n)]
-    )
+    return complete_multipartite([1] * n)
 
 
 def complete_multipartite(sizes: Sequence[int]) -> Graph:

@@ -41,7 +41,11 @@ def sphere_homology(m: int) -> GradedGroups:
 
 
 def maximal_simplices(L: SimplicialComplex) -> list[Simplex]:
-    """Simplices with no proper coface, in storage order."""
+    """Simplices with no proper coface, in storage order: on a flag complex those with
+    N(sigma) = 0, on a face list those no face one level up contains."""
+    if L.neighbourhoods is not None:
+        levels = zip(L.simplices, L.neighbourhoods)
+        return [s for faces, ns in levels for s, common in zip(faces, ns) if not common]
     has_coface: set[Simplex] = set()
     for k in range(1, L.dimension + 1):
         for s in L.faces(k):
@@ -51,11 +55,7 @@ def maximal_simplices(L: SimplicialComplex) -> list[Simplex]:
 
 def _first_impure(L: SimplicialComplex) -> Simplex | None:
     """The first maximal simplex below L's dimension, in storage order, if any."""
-    nbhds = L.neighbourhoods
-    maximal = maximal_simplices(L) if nbhds is None else (
-        s for faces, ns in zip(L.simplices, nbhds) for s, common in zip(faces, ns) if not common
-    )
-    return next((s for s in maximal if len(s) <= L.dimension), None)
+    return next((s for s in maximal_simplices(L) if len(s) <= L.dimension), None)
 
 
 def is_pure(L: SimplicialComplex) -> bool:

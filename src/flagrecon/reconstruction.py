@@ -143,8 +143,9 @@ def reconstruct_from_card(card: Graph, n: int) -> Graph:
     vertices whose local homology has gone trivial.  The lost vertex is
     reattached along that rim.  The card's clique complex has dimension n
     too: it is built whole, under ``MAX_FACES`` like every complex, and any
-    other dimension, above n or below, raises ``ValueError``.  A card of any
-    other shape fails the boundary scan.
+    other dimension, above n or below, raises ``ValueError``, as does a card with
+    no rim.  The result is not re-verified: a triangulated annulus passes the
+    boundary scan and comes back as a non-manifold.
     """
     if n < 1:
         raise ValueError("card recovery needs manifold dimension n >= 1")
@@ -152,6 +153,8 @@ def reconstruct_from_card(card: Graph, n: int) -> Graph:
     if L.dimension != n:
         raise ValueError(f"the card's clique complex has dimension {L.dimension}, not {n}")
     rim = boundary_of(L)
+    if not rim:  # every true card of a closed flag n-manifold has N(v) for its rim
+        raise ValueError("the card has no rim: no vertex link is homologically trivial")
     mask = sum(1 << i for i, v in enumerate(card.labels) if v in rim)
     label = "*"  # the first of *, **, ... the card does not use
     while label in card.labels:

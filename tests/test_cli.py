@@ -202,6 +202,12 @@ class TestReconstruct:
         assert (code, out) == (2, "")
         assert err == "error: the card's clique complex has dimension 6, not 2\n"
 
+    def test_a_card_with_no_rim_exits_two(self, monkeypatch, capsys):
+        octahedron = fr.emit_graph6(fr.cross_polytope(3))
+        code, out, err = run(monkeypatch, capsys, ["reconstruct", "--dim", "2"], stdin=octahedron)
+        assert (code, out) == (2, "")
+        assert err == "error: the card has no rim: no vertex link is homologically trivial\n"
+
     def test_max_dim_is_not_a_reconstruct_flag(self, monkeypatch, capsys):
         with pytest.raises(SystemExit) as exc:
             run(monkeypatch, capsys, ["reconstruct", "--max-dim", "2", "--dim", "2"], stdin="DDW")

@@ -88,6 +88,17 @@ def test_is_spherical_iff_clique():
         fr.is_spherical(ns, ["0", "0"])
     with pytest.raises(ValueError):
         fr.is_spherical(ns, ["z"])
+    with pytest.raises(ValueError, match="unknown vertex 'z'"):  # before the repeat
+        fr.is_spherical(ns, ["0", "0", "z"])
+
+
+def test_is_spherical_builds_no_face_set():
+    # a clique test on the graph's rows: the nerve's set of every face is never made
+    ns = system(fr.cross_polytope(3))
+    for size in range(ns.graph.vertex_count + 1):
+        for t in combinations(ns.graph.labels, size):
+            fr.is_spherical(ns, t)
+    assert "_face_set" not in vars(ns.nerve)
 
 
 @pytest.mark.parametrize("name,ns", named_systems())

@@ -366,6 +366,12 @@ def test_a_card_above_the_manifold_dimension_is_refused_after_the_build():
     assert str(exc.value) == "the card's clique complex has dimension 6, not 2"
 
 
+def test_a_card_with_no_rim_is_refused():
+    # the whole octahedron is no card of a closed 2-manifold: every vertex link is a circle
+    with pytest.raises(ValueError, match="rim"):
+        fr.reconstruct_from_card(fr.cross_polytope(3), 2)
+
+
 def test_reconstruction_rejects_cards_with_a_bad_pattern():
     bow = fr.Graph.from_edges(
         "01234",

@@ -227,6 +227,20 @@ def test_one_report_decides_irreducibility_once(monkeypatch):
     assert counts == {"is_irreducible": 1, "complement": 0}
 
 
+def test_irreducibility_is_one_components_call_on_the_complement_rows(monkeypatch):
+    ns = fr.NerveSystem(fr.cycle(6))
+    counts = count_calls(monkeypatch, ["components", "complement"])
+    assert fr.is_irreducible(ns)
+    assert counts == {"components": 1, "complement": 0}
+
+
+def test_maximal_simplices_of_a_flag_complex_are_read_off_the_neighbourhoods(monkeypatch):
+    L = fr.clique_complex(fr.cross_polytope(3))
+    counts = count_calls(monkeypatch, ["combinations"])
+    assert len(fr.maximal_simplices(L)) == 8
+    assert counts == {"combinations": 0}  # no coface pass
+
+
 def test_a_non_pure_report_builds_no_link(monkeypatch):
     # a triangle with a pendant edge: the edge is a facet below the dimension
     g = fr.Graph.from_edges("0123", [("0", "1"), ("1", "2"), ("0", "2"), ("2", "3")])
